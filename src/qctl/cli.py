@@ -16,7 +16,8 @@ from .errors import ParseError, QctlError
 from .quat import Quaternion
 from .qmat import QuatMatrix, right_eigenvalues, spectral_radius_stable
 from .qpoly import QPoly, is_stable, mul, right_zeros
-from .xfer import LeftFraction, RightFraction, StateSpace, tf_left, tf_right
+from .xfer import (LeftFraction, RightFraction, StateSpace,
+                   as_left_fraction, tf_left, tf_right)
 from .design import place_poles, solve_diophantine
 from .errors import DegenerateKernel
 from .sim import random_state, simulate, simulate_feedback
@@ -215,15 +216,10 @@ def _cmd_solve(args, out):
     polys = [(_load_poly(p)) for p in (args.poly or [])]
     if args.plant:
         doc = load_document(args.plant)
-        if isinstance(doc, StateSpace):
-            doc = tf_left(doc)
-        if not isinstance(doc, (LeftFraction, RightFraction)):
+        if not isinstance(doc, (StateSpace, LeftFraction, RightFraction)):
             raise ParseError("--plant must be a system or fraction document",
                              field=args.plant)
-        if doc.kind != "left":
-            from .qpoly import right_to_left
-            a_l, b_l = right_to_left(doc.num, doc.den)
-            doc = LeftFraction(a_l, b_l)
+        doc = as_left_fraction(doc)
         if len(polys) != 1:
             raise _UsageError(
                 "solve: with --plant give exactly one --poly (the target)")

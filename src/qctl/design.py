@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import warnings as _warnings
 
-from .errors import (BothZero, DegenerateKernel, IllPosed,
-                     NonCausalController, Unsolvable, ZeroRoot)
+from .errors import (DegenerateKernel, IllPosed, NonCausalController,
+                     Unsolvable, ZeroRoot)
 from .quat import Quaternion, _coerce, ZERO_THRESHOLD
 from .qmat import spectral_radius_stable
-from .qpoly import (COEFF_TOL, QPoly, div_quotient_right, gcld, is_stable,
-                    mul, right_to_left, right_zeros)
-from .xfer import LeftFraction, RightFraction, StateSpace, realize, tf_left
+from .qpoly import (COEFF_TOL, QPoly, div_quotient_right, gcld, mul,
+                    right_to_left)
+from .xfer import LeftFraction, RightFraction, as_left_fraction, realize
 
 
 class DiophantineSolution:
@@ -124,9 +124,10 @@ class DesignResult:
     p, q: the Diophantine solution (controller den and num).
     controller: q p^{-1} as a RightFraction.  t_v, t_w: closed-loop
     transfer functions from reference and output disturbance to y.
-    closed_loop: state-space realization of t_w.  stable: True when
-    t_w's denominator has all zero norms beyond the unit circle and the
-    realized loop matrix has spectral radius below one.
+    closed_loop: state-space realization of t_w.  stable: True when the
+    realized loop matrix has spectral radius below one.  t_w is left
+    coprime, so that spectrum is the inverse zero classes of t_w.den
+    plus modes at the origin: the one verdict covers both.
     """
 
     __slots__ = ("plant", "c", "p", "q", "controller", "t_v", "t_w",
@@ -148,17 +149,6 @@ class DesignResult:
     def __repr__(self):
         return (f"DesignResult(stable={self.stable}, "
                 f"deg c={self.c.degree()})")
-
-
-def _as_left_fraction(plant, tol):
-    if isinstance(plant, StateSpace):
-        return tf_left(plant)
-    if isinstance(plant, LeftFraction):
-        return plant
-    if isinstance(plant, RightFraction):
-        a_l, b_l = right_to_left(plant.num, plant.den, tol)
-        return LeftFraction(a_l, b_l)
-    raise TypeError(f"cannot interpret {type(plant).__name__} as a plant")
 
 
 def closed_loop_response_tfs(plant: LeftFraction, p: QPoly, q: QPoly,
@@ -192,11 +182,12 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
 
     Solves a p + b q = c for the minimal-degree p, forms the controller
     q p^{-1}, and packages the closed-loop transfer functions, a
-    realization, and a stability verdict.  NonCausalController signals
+    realization, and the realization's spectral-radius stability
+    verdict.  NonCausalController signals
     p(0) = 0, which would make the feedback law depend on the current
     output.
     """
-    frac = _as_left_fraction(plant, tol)
+    frac = as_left_fraction(plant, tol)
     notes = []
     if isinstance(targets, QPoly):
         c = targets
@@ -217,7 +208,6 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     controller = RightFraction(q, p)
     t_v, t_w = closed_loop_response_tfs(frac, p, q, tol)
     closed_loop = realize(t_w)
-    stable = (is_stable(t_w.den)
-              and spectral_radius_stable(closed_loop.F))
+    stable = spectral_radius_stable(closed_loop.F)
     return DesignResult(frac, c, p, q, controller, t_v, t_w, closed_loop,
                         stable, notes)

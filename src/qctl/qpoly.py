@@ -2,8 +2,10 @@
 
 The indeterminate commutes with every coefficient, but coefficients do
 not commute with each other, so divisions, divisors, and evaluations all
-come in left and right flavors.  Coefficients are stored ascending by
-power; index i holds the coefficient of d^i.
+come in left and right flavors.  Conjugation reverses products and fixes
+the real d, so one side of each mirrored pair is computed as the
+conjugate of the other.  Coefficients are stored ascending by power; index
+i holds the coefficient of d^i.
 
 Numerical conventions: comparisons against zero use a caller tolerance
 scaled by the infinity norm (largest coefficient norm) of the operands,
@@ -17,8 +19,7 @@ import math
 import numpy as np
 
 from .errors import BothZero, EigensolverFailure, IllConditioned, ZeroDivisor
-from .quat import (Quaternion, SimilarityClass, class_of, _coerce,
-                   ZERO_THRESHOLD)
+from .quat import Quaternion, SimilarityClass, _coerce
 
 COEFF_TOL = 1e-9
 
@@ -77,6 +78,12 @@ class QPoly:
     def norm_inf(self) -> float:
         return max((c.norm() for c in self.coeffs), default=0.0)
 
+    def conjugate(self) -> "QPoly":
+        """Coefficientwise conjugate.  Since d is real, it reverses
+        products, conj(a b) = conj(b) conj(a), so every right-side
+        operation is the conjugate of its left-side mirror."""
+        return QPoly([c.conjugate() for c in self.coeffs])
+
     def trim(self, tol: float, scale: float = None) -> "QPoly":
         """Drop trailing coefficients of norm <= tol * scale.
 
@@ -122,10 +129,6 @@ class QPoly:
         return "QPoly[" + " + ".join(parts) + "]"
 
 
-def add(a: QPoly, b: QPoly) -> QPoly:
-    return a + b
-
-
 def mul(a: QPoly, b: QPoly) -> QPoly:
     """Product with coefficient products taken in left-right order:
     (a b)_k = sum a_i b_j over i + j = k."""
@@ -148,10 +151,6 @@ def scale_right(a: QPoly, q) -> QPoly:
     """a * q with the scalar on the right of every coefficient."""
     q = _coerce(q)
     return QPoly([c * q for c in a.coeffs])
-
-
-def degree(a: QPoly):
-    return a.degree()
 
 
 def normalize(a: QPoly, tol: float = 0.0, scale: float = None) -> QPoly:
@@ -178,12 +177,9 @@ def eval_right(a: QPoly, q) -> Quaternion:
 
 
 def eval_left(a: QPoly, q) -> Quaternion:
-    """Left evaluation sum q^i a_i, powers left of the coefficients."""
-    q = _coerce(q)
-    acc = Quaternion()
-    for c in reversed(a.coeffs):
-        acc = c + q * acc
-    return acc
+    """Left evaluation sum q^i a_i, powers left of the coefficients:
+    the conjugate of the right evaluation of conj(a) at conj(q)."""
+    return eval_right(a.conjugate(), _coerce(q).conjugate()).conjugate()
 
 
 def _eval_scale(a: QPoly, x: float) -> float:
@@ -225,32 +221,20 @@ def div_quotient_right(a: QPoly, b: QPoly):
 def div_quotient_left(a: QPoly, b: QPoly):
     """Divide with the quotient on the left: a = q b + r, deg r < deg b.
 
-    Elimination uses q_top = lead a * inverse(lead b); common RIGHT
-    divisors of a and b right-divide r.
+    The conjugate of conj(a) = conj(b) conj(q) + conj(r), so common
+    RIGHT divisors of a and b right-divide r.
     """
-    if b.is_zero():
-        raise ZeroDivisor("division by the zero polynomial")
-    if a.degree() < b.degree():
-        return QPoly(), QPoly(a.coeffs)
-    lead_inv = b.lead().inverse()
-    db = b.degree()
-    rem = list(a.coeffs)
-    qcoeffs = [Quaternion() for _ in range(len(a.coeffs) - db)]
-    for top in range(len(rem) - 1, db - 1, -1):
-        t = rem[top] * lead_inv
-        qcoeffs[top - db] = t
-        for i in range(db):
-            rem[top - db + i] = rem[top - db + i] - t * b.coeffs[i]
-        rem[top] = Quaternion()
-    return QPoly(qcoeffs), QPoly(rem[:db])
+    q, r = div_quotient_right(a.conjugate(), b.conjugate())
+    return q.conjugate(), r.conjugate()
 
 
 class BezoutData:
     """Extended Euclid output for one side.
 
     For side "left" (gcld): a p + b q = g and a u + b v = 0, cofactors
-    multiplied on the right of a and b.  For side "right" (gcrd) the
-    identities mirror: p a + q b = g and u a + v b = 0.
+    multiplied on the right of a and b.  For side "right" (gcrd) every
+    field is the conjugate of the gcld data of the conjugated inputs:
+    p a + q b = g and u a + v b = 0.
     """
 
     __slots__ = ("g", "p", "q", "u", "v", "side")
@@ -296,24 +280,17 @@ def gcld(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
 
 
 def gcrd(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
-    """Greatest common right divisor; mirror of :func:`gcld` with left
-    quotients and left-multiplied cofactors: p a + q b = g, u a + v b = 0."""
+    """Greatest common right divisor: p a + q b = g, u a + v b = 0.
+
+    The conjugate of gcld(conj a, conj b); g comes out monic, normalized
+    by a left unit, which keeps it a right divisor of both inputs.
+    """
     if a.is_zero() and b.is_zero():
         raise BothZero("gcrd(0, 0) is undefined")
-    scale = max(1.0, a.norm_inf(), b.norm_inf())
-    r0, r1 = QPoly(a.coeffs), QPoly(b.coeffs).trim(tol, scale)
-    p0, q0 = QPoly.one(), QPoly.zero()
-    p1, q1 = QPoly.zero(), QPoly.one()
-    while not r1.is_zero():
-        quo, rem = div_quotient_left(r0, r1)
-        rem = rem.trim(tol, scale)
-        p0, p1 = p1, (p0 - quo * p1)
-        q0, q1 = q1, (q0 - quo * q1)
-        r0, r1 = r1, rem
-    unit = r0.lead().inverse()
-    return BezoutData(scale_left(unit, r0),
-                      scale_left(unit, p0), scale_left(unit, q0),
-                      p1, q1, "right")
+    data = gcld(a.conjugate(), b.conjugate(), tol)
+    return BezoutData(data.g.conjugate(), data.p.conjugate(),
+                      data.q.conjugate(), data.u.conjugate(),
+                      data.v.conjugate(), "right")
 
 
 def left_to_right(a: QPoly, b: QPoly, tol: float = COEFF_TOL):
@@ -339,18 +316,14 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     """Convert the right fraction b a^{-1} into a left fraction
     a_l^{-1} b_l, i.e. b_l a = a_l b.
 
-    Mirror of :func:`left_to_right` through the gcrd kernel: from
-    u a + v b = 0 take (a_l, b_l) = (-v, u), normalized by a left unit
-    so a_l(0) = 1 (monic when a_l(0) = 0).
+    The conjugate of :func:`left_to_right` on conj(a)^{-1} conj(b): the
+    pair (a_l, b_l) is left coprime and normalized by a left unit so
+    a_l(0) = 1 (monic when a_l(0) = 0).
     """
     if a.is_zero():
         raise ZeroDivisor("right fraction needs a nonzero denominator")
-    data = gcrd(a, b, tol)
-    b_l, a_l = data.u, -data.v
-    scale = max(1.0, a_l.norm_inf(), b_l.norm_inf())
-    c0 = a_l.at0()
-    unit = c0.inverse() if c0.norm() > tol * scale else a_l.lead().inverse()
-    return scale_left(unit, a_l), scale_left(unit, b_l)
+    b_r, a_r = left_to_right(a.conjugate(), b.conjugate(), tol)
+    return a_r.conjugate(), b_r.conjugate()
 
 
 def companion_polynomial(a: QPoly) -> QPoly:

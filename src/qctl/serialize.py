@@ -1,6 +1,6 @@
 """JSON document layer for the CLI and for on-disk plant files.
 
-Layouts (all numbers are plain JSON floats):
+Layouts (all numbers are plain, finite JSON floats):
 
 - quaternion: [w, x, y, z]
 - matrix: [[q, ...], ...] nested rows of quaternions
@@ -16,6 +16,7 @@ Round trips are bit-exact: floats pass through json unchanged.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ParseError
 from .quat import Quaternion
@@ -89,8 +90,14 @@ def quat_from_doc(doc, field="quaternion"):
              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                      for v in doc),
              "expected [w, x, y, z] with four numbers", field)
-    return Quaternion(float(doc[0]), float(doc[1]), float(doc[2]),
-                      float(doc[3]))
+    try:
+        comps = [float(v) for v in doc]
+    except OverflowError:  # an integer beyond the float range
+        comps = [math.inf]
+    # json.loads accepts NaN and Infinity, which no computation survives
+    _require(all(math.isfinite(v) for v in comps),
+             "quaternion components must be finite", field)
+    return Quaternion(*comps)
 
 
 def poly_from_doc(doc, field="poly"):

@@ -13,8 +13,9 @@ from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import QuatMatrix, matmul, right_eigenvalues, solve_left_linear
-from .qpoly import (COEFF_TOL, QPoly, left_to_right, mul, right_to_left,
-                    right_zeros, scale_left)
+from .qpoly import (COEFF_TOL, QPoly, div_quotient_right, gcld,
+                    left_to_right, mul, right_to_left, right_zeros,
+                    scale_left)
 
 
 class StateSpace:
@@ -47,6 +48,22 @@ class StateSpace:
         return f"StateSpace(n={self.n})"
 
 
+def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
+    """Trim den and num and divide out their greatest common left
+    divisor, leaving den^{-1} num unchanged."""
+    if den.is_zero():
+        raise ZeroDivisor("fraction denominator is zero")
+    scale = max(1.0, den.norm_inf(), num.norm_inf())
+    den = den.trim(tol, scale)
+    num = num.trim(tol, scale)
+    if not num.is_zero():
+        g = gcld(den, num, tol).g
+        if g.degree() >= 1:
+            den, _ = div_quotient_right(den, g)
+            num, _ = div_quotient_right(num, g)
+    return den, num
+
+
 class LeftFraction:
     """Transfer function den^{-1} num.
 
@@ -61,17 +78,7 @@ class LeftFraction:
     kind = "left"
 
     def __init__(self, den: QPoly, num: QPoly, tol: float = COEFF_TOL):
-        from .qpoly import div_quotient_right, gcld
-        if den.is_zero():
-            raise ZeroDivisor("fraction denominator is zero")
-        scale = max(1.0, den.norm_inf(), num.norm_inf())
-        den = den.trim(tol, scale)
-        num = num.trim(tol, scale)
-        if not num.is_zero():
-            g = gcld(den, num, tol).g
-            if g.degree() >= 1:
-                den, _ = div_quotient_right(den, g)
-                num, _ = div_quotient_right(num, g)
+        den, num = _cancel_gcld(den, num, tol)
         c0 = den.at0()
         unit = (c0.inverse() if c0.norm() > tol * max(1.0, den.norm_inf())
                 else den.lead().inverse())
@@ -85,9 +92,11 @@ class LeftFraction:
 class RightFraction:
     """Transfer function num den^{-1}.
 
-    Construction reduces by the greatest common right divisor.  No unit
-    normalization is applied; callers that need a causal normal form
-    convert to a left fraction.
+    Construction reduces by the greatest common right divisor, computed
+    as the conjugate of the left reduction of conj(den)^{-1} conj(num).
+    No unit normalization is applied, so num and den keep the scaling
+    they were given; callers that need a causal normal form convert to
+    a left fraction.
     """
 
     __slots__ = ("num", "den")
@@ -95,22 +104,24 @@ class RightFraction:
     kind = "right"
 
     def __init__(self, num: QPoly, den: QPoly, tol: float = COEFF_TOL):
-        from .qpoly import div_quotient_left, gcrd
-        if den.is_zero():
-            raise ZeroDivisor("fraction denominator is zero")
-        scale = max(1.0, den.norm_inf(), num.norm_inf())
-        den = den.trim(tol, scale)
-        num = num.trim(tol, scale)
-        if not num.is_zero():
-            g = gcrd(den, num, tol).g
-            if g.degree() >= 1:
-                den, _ = div_quotient_left(den, g)
-                num, _ = div_quotient_left(num, g)
-        self.num = num
-        self.den = den
+        den, num = _cancel_gcld(den.conjugate(), num.conjugate(), tol)
+        self.num = num.conjugate()
+        self.den = den.conjugate()
 
     def __repr__(self):
         return f"RightFraction(num={self.num!r}, den={self.den!r})"
+
+
+def as_left_fraction(plant, tol: float = COEFF_TOL) -> LeftFraction:
+    """The left fraction of a StateSpace (its minimal one), a
+    LeftFraction (itself) or a RightFraction (converted)."""
+    if isinstance(plant, StateSpace):
+        return tf_left(plant)
+    if isinstance(plant, LeftFraction):
+        return plant
+    if isinstance(plant, RightFraction):
+        return LeftFraction(*right_to_left(plant.num, plant.den, tol))
+    raise TypeError(f"cannot interpret {type(plant).__name__} as a plant")
 
 
 def markov(sys: StateSpace, count: int):
@@ -129,24 +140,26 @@ def series(frac, count: int):
     """First ``count`` coefficients of the fraction's power series.
 
     Requires den(0) invertible (causality); raises NonCausal otherwise.
-    Left fractions use den * S = num, right fractions S * den = num.
+    Left fractions solve den * S = num; a right fraction's series is the
+    conjugate of the left series of conj(den)^{-1} conj(num).
     """
-    den, num = frac.den, frac.num
+    if frac.kind == "left":
+        return _left_series(frac.den, frac.num, count)
+    return [s.conjugate() for s in
+            _left_series(frac.den.conjugate(), frac.num.conjugate(), count)]
+
+
+def _left_series(den: QPoly, num: QPoly, count: int):
     d0 = den.at0()
     if d0.norm() <= ZERO_THRESHOLD * max(1.0, den.norm_inf()):
         raise NonCausal("den(0) is not invertible")
     d0i = d0.inverse()
-    left = frac.kind == "left"
     s = []
     for k in range(count):
         acc = num.coeff(k)
-        top = min(k, den.degree())
-        for i in range(1, top + 1):
-            if left:
-                acc = acc - den.coeff(i) * s[k - i]
-            else:
-                acc = acc - s[k - i] * den.coeff(i)
-        s.append(d0i * acc if left else acc * d0i)
+        for i in range(1, min(k, den.degree()) + 1):
+            acc = acc - den.coeff(i) * s[k - i]
+        s.append(d0i * acc)
     return s
 
 
@@ -219,22 +232,20 @@ def tf_right(sys: StateSpace, tol: float = 1e-7) -> RightFraction:
     n = sys.n
     ms = [s.conjugate() for s in markov(sys, 4 * n + 5)]
     a, b = _left_annihilator(ms, n, tol)
-    den = QPoly([c.conjugate() for c in a.coeffs])
-    num = QPoly([c.conjugate() for c in b.coeffs])
-    return RightFraction(num, den)
+    return RightFraction(b.conjugate(), a.conjugate())
 
 
 def fraction_equal(f1, f2, tol: float = 1e-9) -> bool:
     """Whether two fractions (of either kind) define the same transfer
     function, decided by exact cross-multiplication: a^{-1} b equals
-    b' a'^{-1} iff b a' = a b'."""
+    b' a'^{-1} iff b a' = a b'.  Two right fractions are compared as
+    the conjugate left fractions conj(den)^{-1} conj(num)."""
     if f1.kind == f2.kind:
-        if f1.kind == "left":
-            b2r, a2r = left_to_right(f2.den, f2.num)
-            lhs, rhs = mul(f1.num, a2r), mul(f1.den, b2r)
-        else:
-            a2l, b2l = right_to_left(f2.num, f2.den)
-            lhs, rhs = mul(b2l, f1.den), mul(a2l, f1.num)
+        a1, b1, a2, b2 = f1.den, f1.num, f2.den, f2.num
+        if f1.kind == "right":
+            a1, b1, a2, b2 = (p.conjugate() for p in (a1, b1, a2, b2))
+        b2r, a2r = left_to_right(a2, b2)
+        lhs, rhs = mul(b1, a2r), mul(a1, b2r)
     elif f1.kind == "left":
         lhs, rhs = mul(f1.num, f2.den), mul(f1.den, f2.num)
     else:
@@ -256,9 +267,7 @@ def realize(frac, tol: float = COEFF_TOL) -> StateSpace:
 
     n = max(deg den, deg num).  Right fractions are converted first.
     """
-    if frac.kind == "right":
-        a_l, b_l = right_to_left(frac.num, frac.den)
-        frac = LeftFraction(a_l, b_l)
+    frac = as_left_fraction(frac)
     den, num = frac.den, frac.num
     scale = max(1.0, den.norm_inf(), num.norm_inf())
     d0 = den.at0()

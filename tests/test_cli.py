@@ -169,6 +169,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["bogus"]) == 1
 
 
+def test_cli_rejects_non_finite_components(tmp_path, capsys):
+    doc = to_doc(PLANT)
+    doc["H"][0][1] = [0.0, float("nan"), 0.0, 0.0]
+    path = _write(tmp_path, "nan_sys.json", doc)
+    assert main(["simulate", "--system", path, "--steps", "5"]) == 1
+    assert f"{path}.H[0][1]" in capsys.readouterr().err
+    path = _write(tmp_path, "inf_poly.json",
+                  {"coeffs": [[1, 0, 0, 0], [float("inf"), 0, 0, 0]]})
+    assert main(["zeros", "--poly", path]) == 1
+    assert f"{path}.coeffs[1]" in capsys.readouterr().err
+    path = _write(tmp_path, "huge_poly.json",
+                  {"coeffs": [[1, 0, 0, 0], [0, 10 ** 400, 0, 0]]})
+    assert main(["zeros", "--poly", path]) == 1
+    assert f"{path}.coeffs[1]" in capsys.readouterr().err
+
+
 def test_cli_simulate_csv_svg(tmp_path, capsys):
     plant = _plant_path(tmp_path)
     csv_path = tmp_path / "out.csv"

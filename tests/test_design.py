@@ -4,9 +4,10 @@ import pytest
 
 from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllPosed,
                   LeftFraction, NonCausalController, QPoly, Quaternion,
-                  QuatMatrix, StateSpace, Unsolvable, ZeroRoot, build_c,
-                  closed_loop_response_tfs, fraction_equal, markov,
-                  place_poles, pmul, right_zeros, series,
+                  QuatMatrix, SimilarityClass, StateSpace, Unsolvable,
+                  ZeroRoot, build_c, closed_loop_response_tfs,
+                  fraction_equal, markov, place_poles, pmul,
+                  right_eigenvalues, right_zeros, series,
                   solve_diophantine, tf_left)
 import gen
 
@@ -125,6 +126,22 @@ def test_place_poles_accepts_fraction_and_polynomial_target():
     assert res.stable
     res2 = place_poles(PLANT, [3.0, 4.0])
     assert fraction_equal(res.t_w, res2.t_w, 1e-8)
+
+
+@pytest.mark.parametrize("n, seeds", [(4, range(1, 21)), (8, range(1, 11))])
+def test_place_poles_real_targets(n, seeds):
+    # spaced real targets: the design must not fail in its verdict
+    targets = [1.5 + 0.6 * i for i in range(n)]
+    for seed in seeds:
+        s = gen.rand_system(gen.rng_for(seed), n)
+        res = place_poles(StateSpace(s.F, s.G, s.H, ZERO), targets)
+        assert res.stable, seed
+        modes = [cls for cls in right_eigenvalues(res.closed_loop.F)
+                 if cls.norm() > 1e-3]
+        assert len(modes) == n, seed
+        for t in targets:
+            want = SimilarityClass(1.0 / t, 0.0)
+            assert any(cls.matches(want, 1e-6) for cls in modes), (seed, t)
 
 
 def test_place_poles_marks_unstable_targets():

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import warnings as _warnings
 
-from .errors import (DegenerateKernel, IllPosed, NonCausalController,
-                     Unsolvable, ZeroRoot)
+from .errors import (BothZero, DegenerateKernel, IllPosed,
+                     NonCausalController, Unsolvable, ZeroRoot)
 from .quat import Quaternion, _coerce, ZERO_THRESHOLD
 from .qmat import spectral_radius_stable
-from .qpoly import (COEFF_TOL, QPoly, div_quotient_right, gcld, mul,
-                    right_to_left)
+from .qpoly import (COEFF_TOL, QPoly, _invert, _sylvester_solve,
+                    div_quotient_right, mul, right_to_left, scale_left,
+                    scale_right, shift)
 from .xfer import LeftFraction, RightFraction, as_left_fraction, realize
 
 
@@ -25,8 +26,12 @@ class DiophantineSolution:
 
     The full solution set is x = x + x_step t, y = y + y_step t over
     polynomials t, since a x_step + b y_step = 0 with (x_step, y_step)
-    the right-coprime kernel pair of (a, b).  ``g`` is the greatest
-    common left divisor certifying solvability.
+    the right-coprime kernel pair of (a, b).  x_step is monic of degree
+    deg b - deg g in modes "particular" and "minimal_x", y_step monic of
+    degree deg a - deg g in mode "minimal_y"; the pair is (0, 1) when
+    b = 0 and (1, 0) when a = 0.  ``g`` is the monic greatest common
+    left divisor certifying solvability, 1 when a and b are left
+    coprime.
     """
 
     __slots__ = ("x", "y", "g", "x_step", "y_step", "mode")
@@ -53,44 +58,149 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
                       tol: float = COEFF_TOL) -> DiophantineSolution:
     """Solve a x + b y = c for polynomials x, y.
 
-    Solvable exactly when the greatest common left divisor g of a and b
-    left-divides c; otherwise Unsolvable is raised carrying g and the
-    offending remainder.  Modes:
+    Every step solves with the complex-adjoint block-Toeplitz
+    (Sylvester) matrix of a linear map on coefficients of bounded
+    degree, equilibrated by rows and columns: an LU solve when it is
+    square and of full rank, least squares otherwise.  No Euclidean
+    algorithm runs.  With n = deg a and m = deg b, after trimming both
+    by ``tol`` relative to their largest coefficient:
 
-    - "particular": the Bezout cofactors scaled by g^{-1} c.
+    - k = deg gcld(a, b) is half the number of singular values at or
+      below tol * (largest singular value) of the equilibrated square
+      matrix of (x, y) -> a x + b y with deg x < m and
+      deg y <= max(deg c, n + m) - m.  Its null space holds the kernel
+      multiples (x_step t, y_step t) with deg t < k.
+    - k = 0 (left coprime, the common case): the same call solves for
+      the solution and, from the right-hand side -a d^m, for the kernel
+      pair with x_step = d^m + (lower terms); g = 1.
+    - k > 0: the map with deg x < m - k gives the solution and the
+      kernel pair, x_step monic of degree m - k.  g solves g a' = a,
+      g b' = b in least squares, (a', b') being the left annihilator
+      of the kernel pair.
+    - a = 0 or b = 0: g is the other one made monic.  a = b = 0
+      raises BothZero.
+    - Whenever g != 1, the equation is solvable exactly when g
+      left-divides c.  Unsolvable, carrying g and the remainder of
+      dividing c by g, is raised when g h = c leaves a least-squares
+      residual above tol times the largest coefficient of a, b and c.
+
+    Modes:
+
+    - "particular": the Bezout cofactors p, q of a p + b q = g with
+      deg p < m - k, times g^{-1} c.
     - "minimal_x": the unique solution with deg x < deg x_step
       (requires b != 0, else the kernel is degenerate).
     - "minimal_y": the unique solution with deg y < deg y_step
-      (requires a != 0).
+      (requires a != 0), solved as "minimal_x" with a and b exchanged,
+      so y_step is the monic one.
     """
     if mode not in ("particular", "minimal_x", "minimal_y"):
         raise ValueError(f"unknown mode {mode!r}")
-    data = gcld(a, b, tol)
+    if a.is_zero() and b.is_zero():
+        raise BothZero("a x + b y = c with a = b = 0 is undefined")
     scale = max(1.0, a.norm_inf(), b.norm_inf(), c.norm_inf())
-    ctilde, rem = div_quotient_right(c, data.g)
-    if not rem.trim(tol, scale).is_zero():
-        raise Unsolvable(
-            "gcld(a, b) does not left-divide c "
-            f"(remainder norm {rem.norm_inf():.3g})",
-            g=data.g, remainder=rem)
-    x = mul(data.p, ctilde)
-    y = mul(data.q, ctilde)
-    x_step, y_step = data.u, data.v
-    if mode == "minimal_x":
-        if x_step.is_zero():
+    ab_scale = max(1.0, a.norm_inf(), b.norm_inf())
+    a, b = a.trim(tol, ab_scale), b.trim(tol, ab_scale)
+    if a.is_zero() or b.is_zero():
+        side = b if a.is_zero() else a
+        unit = _invert(side.lead(), "leading coefficient")
+        g = scale_right(side, unit)
+        quo = scale_left(unit, _left_quotient(g, c, tol, scale))
+        if mode == "minimal_x" and b.is_zero():
             raise DegenerateKernel("b = 0 leaves x unconstrained")
-        # x0 = x_step t + r means x = r drops the kernel multiple t,
-        # so y picks up -y_step t to keep a x + b y = c
-        t, x = div_quotient_right(x, x_step)
-        y = y - mul(y_step, t)
-    elif mode == "minimal_y":
-        if y_step.is_zero():
+        if mode == "minimal_y" and a.is_zero():
             raise DegenerateKernel("a = 0 leaves y unconstrained")
-        t, y = div_quotient_right(y, y_step)
-        x = x - mul(x_step, t)
+        if a.is_zero():
+            x, y, x_step, y_step = QPoly(), quo, QPoly.one(), QPoly()
+        else:
+            x, y, x_step, y_step = quo, QPoly(), QPoly(), QPoly.one()
+    else:
+        swap = mode == "minimal_y"
+        f, s = (b, a) if swap else (a, b)
+        x, y, g, x_step, y_step = _solve_minimal_first(
+            f, s, c, mode == "particular", tol, scale)
+        if swap:
+            x, y, x_step, y_step = y, x, y_step, x_step
     xy_scale = max(scale, x.norm_inf(), y.norm_inf())
     return DiophantineSolution(x.trim(tol, xy_scale), y.trim(tol, xy_scale),
-                               data.g, x_step, y_step, mode)
+                               g, x_step, y_step, mode)
+
+
+def _solve_minimal_first(f, s, c, particular, tol, scale):
+    """f x + s y = c for nonzero f, s: the solution with deg x below the
+    kernel degree (or the Bezout cofactors times g^{-1} c when
+    ``particular``), then g and the kernel pair with x_step monic."""
+    n, m = f.degree(), s.degree()
+    top = max(c.degree(), n + m)
+    rhs = QPoly.one() if particular else c
+    sols, sv, _ = _sylvester_solve([(f, m), (s, top + 1 - m)], top + 1,
+                                   [rhs, -shift(f, m)])
+    k = min(int((sv <= tol * sv[0]).sum()) // 2, n, m)
+    if k == 0:
+        (x, y), (x_low, y_step) = sols
+        x_step, y_step = x_low + QPoly.monomial(1.0, m), y_step.trim(tol)
+        if particular:
+            x, y = mul(x, c), mul(y, c)
+        return x, y, QPoly.one(), x_step, y_step
+    top = max(c.degree(), n + m - k)
+    blocks = [(f, m - k), (s, top + 1 - m)]
+    ((x, y), (x_low, y_step)), _, _ = _sylvester_solve(
+        blocks, top + 1, [c, -shift(f, m - k)])
+    x_step, y_step = x_low + QPoly.monomial(1.0, m - k), y_step.trim(tol)
+    g = _common_left_factor(f, s, x_step, y_step, k)
+    ctilde = _left_quotient(g, c, tol, scale)
+    if particular:
+        [[p, q]], _, _ = _sylvester_solve(blocks, top + 1, [g])
+        x, y = mul(p, ctilde), mul(q, ctilde)
+    return x, y, g, x_step, y_step
+
+
+def _left_quotient(g, c, tol, scale):
+    """h with g h = c, by least squares.
+
+    Raises Unsolvable, carrying g and the remainder of dividing c by g,
+    when the residual exceeds tol * scale.  The remainder itself cannot
+    decide this at high degree: on rounding errors in c it grows like
+    |zero of g|^(deg c - deg g).
+    """
+    if c.is_zero():
+        return QPoly()
+    h, resid = QPoly(), c.norm_inf()
+    if c.degree() >= g.degree():
+        [[h]], _, [resid] = _sylvester_solve(
+            [(g, c.degree() - g.degree() + 1)], c.degree() + 1, [c])
+    if resid > tol * scale:
+        _, rem = div_quotient_right(c, g)
+        raise Unsolvable(
+            "gcld(a, b) does not left-divide c (least-squares residual "
+            f"{resid:.3g}, remainder norm {rem.norm_inf():.3g})",
+            g=g, remainder=rem)
+    return h
+
+
+def _common_left_factor(f, s, u, v, k):
+    """The monic g of degree k with f = g f' and s = g s'.
+
+    From f u + s v = 0 follows f' u + s' v = 0, so (f', s') is the
+    left annihilator of the kernel pair of degrees (deg f - k,
+    deg s - k), fixed by lead f' = lead f; g then solves g f' = f,
+    g s' = s in least squares.  Both steps run on conjugates, where the
+    unknown factors multiply from the right, and the second stacks its
+    two equations as one by a shift past deg f.  Solving instead for g
+    directly from a p + b q - (g - d^k) = d^k inverts division by g,
+    whose error grows like |zero of g|^deg c.
+    """
+    n, m = f.degree(), s.degree()
+    cu, cv, clead = u.conjugate(), v.conjugate(), f.lead().conjugate()
+    [[f_low, cs]], _, _ = _sylvester_solve(
+        [(cu, n - k), (cv, m - k + 1)], n + m - 2 * k + 1,
+        [-shift(scale_right(cu, clead), n - k)])
+    cf = f_low + QPoly.monomial(clead, n - k)
+    [[cg]], _, _ = _sylvester_solve(
+        [(cf + shift(cs, n + 1), k + 1)], n + m + 2,
+        [f.conjugate() + shift(s.conjugate(), n + 1)])
+    return scale_right(cg.conjugate(),
+                       _invert(cg.lead().conjugate(), "leading coefficient"))
 
 
 def build_c(roots, tol: float = COEFF_TOL) -> QPoly:

@@ -193,6 +193,16 @@ def _eval_scale(a: QPoly, x: float) -> float:
     return max(1.0, s)
 
 
+def _invert(q: Quaternion, what: str) -> Quaternion:
+    """Inverse of a coefficient that a polynomial routine divides by,
+    raising ZeroDivisor (not ZeroDivisionError) when it is numerically
+    zero."""
+    try:
+        return q.inverse()
+    except ZeroDivisionError as exc:
+        raise ZeroDivisor(f"{what} is numerically zero") from exc
+
+
 def div_quotient_right(a: QPoly, b: QPoly):
     """Divide with the quotient on the right: a = b q + r, deg r < deg b.
 
@@ -204,7 +214,7 @@ def div_quotient_right(a: QPoly, b: QPoly):
         raise ZeroDivisor("division by the zero polynomial")
     if a.degree() < b.degree():
         return QPoly(), QPoly(a.coeffs)
-    lead_inv = b.lead().inverse()
+    lead_inv = _invert(b.lead(), "leading coefficient of the divisor")
     db = b.degree()
     rem = list(a.coeffs)
     qcoeffs = [Quaternion() for _ in range(len(a.coeffs) - db)]
@@ -273,7 +283,7 @@ def gcld(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
         p0, p1 = p1, (p0 - p1 * quo)
         q0, q1 = q1, (q0 - q1 * quo)
         r0, r1 = r1, rem
-    unit = r0.lead().inverse()
+    unit = _invert(r0.lead(), "leading coefficient of the gcld")
     return BezoutData(scale_right(r0, unit),
                       scale_right(p0, unit), scale_right(q0, unit),
                       p1, q1, "left")
@@ -308,7 +318,8 @@ def left_to_right(a: QPoly, b: QPoly, tol: float = COEFF_TOL):
     b_r, a_r = data.u, -data.v
     scale = max(1.0, a_r.norm_inf(), b_r.norm_inf())
     c0 = a_r.at0()
-    unit = c0.inverse() if c0.norm() > tol * scale else a_r.lead().inverse()
+    unit = (c0.inverse() if c0.norm() > tol * scale
+            else _invert(a_r.lead(), "leading coefficient of the denominator"))
     return scale_right(b_r, unit), scale_right(a_r, unit)
 
 
@@ -324,6 +335,100 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
         raise ZeroDivisor("right fraction needs a nonzero denominator")
     b_r, a_r = left_to_right(a.conjugate(), b.conjugate(), tol)
     return a_r.conjugate(), b_r.conjugate()
+
+
+def _pairs(a: QPoly):
+    """Coefficients of a as the complex pairs (q1, conj q2) of
+    q = q1 + q2 j, in which left multiplication by a coefficient is
+    complex linear."""
+    w = np.array([c.components() for c in a.coeffs],
+                 dtype=float).reshape(-1, 4)
+    return w[:, 0] + 1j * w[:, 1], w[:, 2] - 1j * w[:, 3]
+
+
+def _from_pairs(q1, cq2) -> QPoly:
+    return QPoly([Quaternion(u.real, u.imag, v.real, -v.imag)
+                  for u, v in zip(q1, cq2)])
+
+
+def _sylvester_solve(blocks, rows: int, rhs):
+    """Solve sum_i p_i x_i = r over skew polynomials, in least squares
+    when there are more equations than unknowns.
+
+    ``blocks`` lists the pairs (p_i, n_i), the unknown x_i having
+    n_i coefficients (deg x_i < n_i); ``rows`` is the number of
+    coefficient equations, d^0 through d^(rows-1), and must cover every
+    product and right-hand side.  The matrix is the complex adjoint of
+    the block-Toeplitz map, the coefficient a_i acting on (x1, conj x2)
+    as [[a1, -a2], [conj a2, conj a1]], so it is half the size of the
+    real 4 x 4 embedding.  It is equilibrated first: every column to
+    unit norm, then every row.  A square matrix gets its singular
+    values and, when they show full rank, an LU solve with one step of
+    iterative refinement.  That keeps the residual small coefficient by
+    coefficient, which the SVD-based lstsq does not once the
+    coefficients span decades, as those of plants from state space do.
+    Any other matrix gets one lstsq call.  Each call serves every
+    right-hand side in ``rhs``.
+
+    Returns (solutions, sv, resid): solutions[r] lists the x_i for
+    rhs[r]; sv holds the singular values of the equilibrated matrix,
+    each quaternionic one twice; resid[r] is the largest coefficient
+    norm of the residual sum_i p_i x_i - r.
+    """
+    cols = sum(n for _, n in blocks)
+    M = np.zeros((2 * rows, 2 * cols), dtype=complex)
+    row_norm2 = np.zeros(rows)
+    col_scale = np.empty(2 * cols)
+    col = 0
+    for p, n in blocks:
+        if n == 0:
+            continue
+        p1, cp2 = _pairs(p)
+        # every column of a block holds each coefficient of p once
+        p_norm2 = np.abs(p1) ** 2 + np.abs(cp2) ** 2
+        scale = 1.0 / math.sqrt(p_norm2.sum())
+        row_norm2[:len(p1) + n - 1] += (np.convolve(p_norm2, np.ones(n))
+                                        * scale ** 2)
+        blk = np.empty((2 * len(p1), 2), dtype=complex)
+        blk[0::2, 0] = p1
+        blk[0::2, 1] = -np.conj(cp2)
+        blk[1::2, 0] = cp2
+        blk[1::2, 1] = np.conj(p1)
+        blk *= scale
+        for j in range(n):
+            M[2 * j:2 * j + len(blk), col:col + 2] = blk
+            col += 2
+        col_scale[col - 2 * n:col] = scale
+    row_scale = np.repeat(np.where(row_norm2 > 0.0,
+                                   1.0 / np.sqrt(row_norm2), 1.0), 2)
+    M *= row_scale[:, None]
+    R = np.zeros((2 * rows, len(rhs)), dtype=complex)
+    for k, r in enumerate(rhs):
+        r1, cr2 = _pairs(r)
+        R[0:2 * len(r1):2, k] = r1
+        R[1:2 * len(r1):2, k] = cr2
+    R *= row_scale[:, None]
+    square = rows == cols
+    sv = np.linalg.svd(M, compute_uv=False) if square else None
+    # full rank by lstsq's own default cutoff
+    if square and sv[-1] > 2 * rows * np.finfo(float).eps * sv[0]:
+        sol = np.linalg.solve(M, R)
+        sol -= np.linalg.solve(M, M @ sol - R)
+    else:
+        sol, _, _, sv = np.linalg.lstsq(M, R, rcond=None)
+    res = (M @ sol - R) / row_scale[:, None]
+    resid = np.sqrt(np.abs(res[0::2]) ** 2
+                    + np.abs(res[1::2]) ** 2).max(axis=0)
+    sol *= col_scale[:, None]
+    solutions = []
+    for k in range(len(rhs)):
+        xs, start = [], 0
+        for _, n in blocks:
+            s = sol[2 * start:2 * (start + n), k]
+            xs.append(_from_pairs(s[0::2], s[1::2]))
+            start += n
+        solutions.append(xs)
+    return solutions, sv, resid
 
 
 def companion_polynomial(a: QPoly) -> QPoly:

@@ -13,7 +13,7 @@ from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import QuatMatrix, matmul, right_eigenvalues, solve_left_linear
-from .qpoly import (COEFF_TOL, QPoly, div_quotient_right, gcld,
+from .qpoly import (COEFF_TOL, QPoly, _invert, div_quotient_right, gcld,
                     left_to_right, mul, right_to_left, right_zeros,
                     scale_left)
 
@@ -81,7 +81,8 @@ class LeftFraction:
         den, num = _cancel_gcld(den, num, tol)
         c0 = den.at0()
         unit = (c0.inverse() if c0.norm() > tol * max(1.0, den.norm_inf())
-                else den.lead().inverse())
+                else _invert(den.lead(),
+                             "leading coefficient of the denominator"))
         self.den = scale_left(unit, den)
         self.num = scale_left(unit, num)
 

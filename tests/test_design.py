@@ -5,7 +5,7 @@ import pytest
 from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllPosed,
                   LeftFraction, NonCausalController, QPoly, Quaternion,
                   QuatMatrix, SimilarityClass, StateSpace, Unsolvable,
-                  ZeroRoot, build_c, closed_loop_response_tfs,
+                  ZeroDivisor, ZeroRoot, build_c, closed_loop_response_tfs,
                   fraction_equal, markov, place_poles, pmul,
                   right_eigenvalues, right_zeros, series,
                   solve_diophantine, tf_left)
@@ -86,6 +86,14 @@ def test_zero_numerator_side():
         1.0, a.norm_inf() * sol.x.norm_inf())
     with pytest.raises(DegenerateKernel):
         solve_diophantine(a, QPoly.zero(), c, mode="minimal_x")
+
+
+def test_solve_numerically_zero_side_raises_zero_divisor():
+    # with tol = 0 nothing is trimmed, so a is nonzero but its lead
+    # cannot be inverted to make g monic
+    with pytest.raises(ZeroDivisor):
+        solve_diophantine(QPoly([0.0, 1e-13]), QPoly.zero(), QPoly([1.0]),
+                          tol=0.0)
 
 
 def test_build_c_product_and_validation():

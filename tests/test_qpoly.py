@@ -79,6 +79,24 @@ def test_division_degenerate_degrees():
         div_quotient_left(a, QPoly.zero())
 
 
+def test_numerically_zero_leading_coefficient_raises_zero_divisor():
+    # a coefficient below the inversion threshold is a QctlError, never
+    # a raw ZeroDivisionError
+    a, tiny = QPoly([1.0, 1.0, 1.0]), QPoly([1.0, 1e-13])
+    with pytest.raises(ZeroDivisor):
+        div_quotient_right(a, tiny)
+    with pytest.raises(ZeroDivisor):
+        div_quotient_left(a, tiny)
+    # gcld trims only its second argument, so this lead reaches the
+    # monic normalization of g
+    with pytest.raises(ZeroDivisor):
+        gcld(QPoly([0.0, 1e-13]), QPoly.zero())
+    # here the kernel cofactor a_r = [0, 1e-13] has neither an
+    # invertible constant term nor an invertible lead
+    with pytest.raises(ZeroDivisor):
+        left_to_right(QPoly([0.0, 1e-13]), QPoly.one())
+
+
 def test_division_sides_reconstruct():
     rng = gen.rng_for(21)
     for _ in range(50):

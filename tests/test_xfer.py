@@ -87,6 +87,13 @@ def test_left_fraction_normalizes_causal_constant():
     assert fraction_equal(lf, LeftFraction(QPoly([2.0, I]), QPoly([J])))
 
 
+def test_left_fraction_numerically_zero_denominator_raises_zero_divisor():
+    # with tol = 0 nothing is trimmed, and neither den(0) nor the lead
+    # of den can be inverted
+    with pytest.raises(ZeroDivisor):
+        LeftFraction(QPoly([0.0, 1e-13]), QPoly.zero(), tol=0.0)
+
+
 def test_tf_left_reference_plant():
     lf = tf_left(PLANT)
     want_den = QPoly([ONE, Quaternion(-1.0, 0.0, 0.0, 1.0),

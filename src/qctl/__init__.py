@@ -5,7 +5,7 @@ from .errors import (QctlError, DimensionMismatch, EigensolverFailure,
                      ZeroDivisor, BothZero, NonCausal, AnnihilatorNotFound,
                      Unsolvable, DegenerateKernel, ZeroRoot,
                      NonCausalController, IllPosed, IllPosedLoop,
-                     IllConditioned, ParseError)
+                     SimulationDiverged, IllConditioned, ParseError)
 from .quat import (Quaternion, SimilarityClass, ZERO, ONE, I, J, K,
                    class_of, conjugate, inverse, left_mul_matrix, mul as qmul,
                    norm, right_mul_matrix, similar)
@@ -35,7 +35,7 @@ __all__ = [
     "QctlError", "DimensionMismatch", "EigensolverFailure", "ZeroDivisor",
     "BothZero", "NonCausal", "AnnihilatorNotFound", "Unsolvable",
     "DegenerateKernel", "ZeroRoot", "NonCausalController", "IllPosed",
-    "IllPosedLoop", "IllConditioned", "ParseError",
+    "IllPosedLoop", "SimulationDiverged", "IllConditioned", "ParseError",
     "Quaternion", "SimilarityClass", "ZERO", "ONE", "I", "J", "K",
     "class_of", "conjugate", "inverse", "left_mul_matrix", "qmul", "norm",
     "right_mul_matrix", "similar",

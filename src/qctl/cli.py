@@ -10,9 +10,10 @@ table and a static SVG chart.  Exit codes: 0 success, 2 domain errors,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import ParseError, QctlError
+from .errors import ParseError, QctlError, SimulationDiverged
 from .quat import Quaternion
 from .qmat import QuatMatrix, right_eigenvalues, spectral_radius_stable
 from .qpoly import QPoly, is_stable, mul, right_zeros
@@ -360,6 +361,11 @@ def _cmd_simulate(args, out):
         ys = simulate_feedback(plant, ctrl, x0p, x0c, None, None,
                                args.steps)
     norms = [y.norm() for y in ys]
+    bad = next((k for k, v in enumerate(norms) if not math.isfinite(v)),
+               None)
+    if bad is not None:
+        raise SimulationDiverged(
+            f"output at step k={bad} is not finite (|y| = {norms[bad]})")
     peak = max(norms)
     peak_k = norms.index(peak)
     out.write(f"steps: {args.steps}, seed: {args.seed}\n")

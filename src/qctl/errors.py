@@ -78,6 +78,12 @@ class IllPosedLoop(QctlError):
     """The static loop gain 1 + J_plant J_ctrl is not invertible."""
 
 
+class SimulationDiverged(QctlError):
+    """A simulated output is not finite: the run overflowed or produced
+    NaN.  The CLI raises it; the library's simulate returns the IEEE
+    values."""
+
+
 class IllConditioned(QctlError):
     """A computed zero candidate failed its similarity-class validation
     by more than the reporting threshold."""

@@ -101,6 +101,30 @@ def identity(n: int) -> QuatMatrix:
     return QuatMatrix.identity(n)
 
 
+def _components(rows, r: int, c: int) -> np.ndarray:
+    """The (r, c, 4) array of the (w, x, y, z) components of a grid of
+    Quaternion entries given as r rows of c entries."""
+    flat = [v for row in rows for q in row for v in (q.w, q.x, q.y, q.z)]
+    return np.array(flat, dtype=float).reshape(r, c, 4)
+
+
+def _adjoint(comps: np.ndarray) -> np.ndarray:
+    """Complex adjoint [[A1, A2], [-conj(A2), conj(A1)]] of the
+    quaternionic matrix with (r, c, 4) component array ``comps``.
+
+    Viewing (w, x, y, z) as two complex numbers gives A1 = w + x i and
+    A2 = y + z i exactly, with no per-entry work."""
+    r, c = comps.shape[:2]
+    pairs = np.ascontiguousarray(comps, dtype=float).view(complex)
+    a1, a2 = pairs[..., 0], pairs[..., 1]
+    out = np.empty((2 * r, 2 * c), dtype=complex)
+    out[:r, :c] = a1
+    out[:r, c:] = a2
+    out[r:, :c] = -a2.conj()
+    out[r:, c:] = a1.conj()
+    return out
+
+
 def complex_adjoint(A: QuatMatrix) -> np.ndarray:
     """Complex adjoint of A = A1 + A2 j.
 
@@ -109,17 +133,7 @@ def complex_adjoint(A: QuatMatrix) -> np.ndarray:
     is a ring homomorphism, which is what makes right eigenvalues
     computable through it.
     """
-    r, c = A.rows, A.cols
-    A1 = np.zeros((r, c), dtype=complex)
-    A2 = np.zeros((r, c), dtype=complex)
-    for i in range(r):
-        for j in range(c):
-            q = A[i, j]
-            A1[i, j] = complex(q.w, q.x)
-            A2[i, j] = complex(q.y, q.z)
-    top = np.hstack([A1, A2])
-    bottom = np.hstack([-A2.conj(), A1.conj()])
-    return np.vstack([top, bottom])
+    return _adjoint(_components(A.data, A.rows, A.cols))
 
 
 class RightSpectrum:

@@ -1,5 +1,23 @@
 """Time-domain simulation of quaternionic state-space systems.
 
+Every simulation, and xfer.markov, runs on one propagation kernel over
+the complex adjoint (see qmat.complex_adjoint).  A system is packed
+once per call into the adjoint of its step matrix [[F, G], [H, J]],
+with rows and columns ordered block by block:
+
+    [[adj F, adj G],
+     [adj H, adj J]]
+
+A quaternion column x = x1 + x2 j (x1, x2 complex) is carried as the
+first column of its adjoint, the complex vector (x1; -conj x2).  The
+adjoint is a ring homomorphism, so adj(F) times that column is the
+column of F x, and each step is one complex matrix-vector product;
+the outputs of all steps come from one matrix product at the end.
+A state stacked from several blocks (plant and controller in a loop)
+and an input of several scalars (reference and disturbance) are the
+concatenations of the blocks' columns.  The library keeps IEEE
+semantics: a diverging run returns inf or nan outputs.
+
 Random initial states come from a self-contained 64-bit linear
 congruential generator so runs are reproducible across platforms:
 
@@ -12,9 +30,11 @@ order.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DimensionMismatch, IllPosedLoop
 from .quat import Quaternion, _coerce
-from .qmat import QuatMatrix, add, matmul
+from .qmat import QuatMatrix, _adjoint, _components
 
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -49,18 +69,73 @@ def random_state(n: int, seed: int) -> QuatMatrix:
     return QuatMatrix(rows, cols=1) if n else QuatMatrix.zeros(0, 1)
 
 
-def _as_column(x, n):
+def _state_column(x, n: int) -> np.ndarray:
+    """The adjoint column (x1; -conj x2) of an n x 1 state given as a
+    QuatMatrix or a sequence of entries."""
     col = x if isinstance(x, QuatMatrix) else QuatMatrix(
         [[v] for v in x] if n else [], cols=1)
     if col.rows != n or col.cols != 1:
         raise DimensionMismatch(f"state must be {n} x 1")
-    return col
+    return _adjoint(_components(col.data, n, 1))[:, 0]
 
 
-def _input(seq, k):
-    if seq is None or k >= len(seq):
-        return Quaternion()
-    return _coerce(seq[k])
+def _input_columns(seq, steps: int) -> np.ndarray:
+    """The adjoint columns (u1, -conj u2) of u(0..steps-1), one row per
+    step; ``seq`` may be None (zero input) and is zero-extended past its
+    end."""
+    head = [] if seq is None else [_coerce(q) for q in seq[:steps]]
+    comps = np.zeros((1, steps, 4))
+    comps[:, :len(head)] = _components([head], 1, len(head))
+    # column k of the adjoint's left half is the column of u(k)
+    return _adjoint(comps)[:, :steps].T
+
+
+def _step_matrix(ss) -> np.ndarray:
+    """[[adj F, adj G], [adj H, adj J]] of a system, from one component
+    array of [[F, G], [H, J]]."""
+    n = ss.n
+    rows = [f + g for f, g in zip(ss.F.data, ss.G.data)]
+    rows.append(ss.H.data[0] + (ss.J,))
+    full = _adjoint(_components(rows, n + 1, n + 1))
+    # the adjoint lists the F, G rows and columns first and the H, J
+    # ones last in each half; regroup the halves block by block
+    order = np.r_[0:n, n + 1:2 * n + 1, n, 2 * n + 1]
+    return full[np.ix_(order, order)]
+
+
+def _propagate(step, x: np.ndarray, inputs: np.ndarray):
+    """Outputs y(0..steps-1) of the adjoint step matrix ``step`` from
+    the adjoint state ``x`` under the adjoint inputs, one row per step.
+
+    Row k of ``cols`` holds the state and input columns of step k; the
+    state part of row k + 1 is one matrix-vector product."""
+    n2 = len(x)
+    steps = len(inputs)
+    cols = np.empty((steps, n2 + inputs.shape[1]), dtype=complex)
+    cols[:, n2:] = inputs
+    if steps:
+        cols[0, :n2] = x
+    advance = step[:n2]
+    # IEEE semantics, as in scalar arithmetic: a diverging run yields
+    # inf and nan without numpy's floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps - 1):
+            advance.dot(cols[k], out=cols[k + 1, :n2])
+        out = cols @ step[n2:].T
+    # y = y1 + y2 j back from its column (y1, -conj y2)
+    out[:, 1] = -out[:, 1].conj()
+    return [Quaternion(*c) for c in out.view(float).tolist()]
+
+
+def _impulse_response(ss, steps: int):
+    """y(0..steps-1) from x = 0 under a unit impulse: J, H G, H F G, ..."""
+    return _propagate(_step_matrix(ss), np.zeros(2 * ss.n, dtype=complex),
+                      _input_columns([1.0], steps))
+
+
+def _check_steps(steps: int):
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
 
 
 def simulate(ss, x0, u, steps: int):
@@ -68,45 +143,50 @@ def simulate(ss, x0, u, steps: int):
     y(k) = H x(k) + J u(k).
 
     ``u`` may be None (zero input) or a sequence, zero-extended past
-    its end.
+    its end.  Raises ValueError when ``steps`` is negative.
     """
-    x = _as_column(x0, ss.n)
-    ys = []
-    for k in range(steps):
-        uk = _input(u, k)
-        hx = matmul(ss.H, x)[0, 0]
-        ys.append(hx + ss.J * uk)
-        x = add(matmul(ss.F, x), _scaled_column(ss.G, uk))
-    return ys
-
-
-def _scaled_column(g: QuatMatrix, u: Quaternion) -> QuatMatrix:
-    return QuatMatrix([[g[i, 0] * u] for i in range(g.rows)], cols=1)
+    _check_steps(steps)
+    x = _state_column(x0, ss.n)
+    return _propagate(_step_matrix(ss), x, _input_columns(u, steps))
 
 
 def simulate_feedback(plant, controller, x0_plant, x0_ctrl, v, w,
                       steps: int):
     """Outputs of the loop y = (plant) u + w with u = v - (controller) y.
 
-    Each step solves the static part
+    The static part
         (1 + J_p J_c) y = H_p x_p + J_p (v(k) - H_c x_c) + w(k)
-    for y, forms u(k) = v(k) - (H_c x_c + J_c y), then advances both
-    states.  Raises IllPosedLoop when 1 + J_p J_c is not invertible.
+    is solved for y once, as a row of the closed-loop step matrix with
+    state (x_p, x_c) and inputs (v, w); u(k) = v(k) - (H_c x_c + J_c y)
+    feeds the plant and y the controller.  Raises IllPosedLoop when
+    1 + J_p J_c is not invertible and ValueError when ``steps`` is
+    negative.
     """
     gain = Quaternion(1.0) + plant.J * controller.J
     if gain.norm() <= 1e-12 * (1.0 + plant.J.norm() * controller.J.norm()):
         raise IllPosedLoop("1 + J_plant J_ctrl is not invertible")
-    gain_inv = gain.inverse()
-    xp = _as_column(x0_plant, plant.n)
-    xc = _as_column(x0_ctrl, controller.n)
-    ys = []
-    for k in range(steps):
-        vk, wk = _input(v, k), _input(w, k)
-        yc = matmul(controller.H, xc)[0, 0]
-        yp = matmul(plant.H, xp)[0, 0]
-        y = gain_inv * (yp + plant.J * (vk - yc) + wk)
-        u = vk - (yc + controller.J * y)
-        xp = add(matmul(plant.F, xp), _scaled_column(plant.G, u))
-        xc = add(matmul(controller.F, xc), _scaled_column(controller.G, y))
-        ys.append(y)
-    return ys
+    _check_steps(steps)
+    x = np.concatenate([_state_column(x0_plant, plant.n),
+                        _state_column(x0_ctrl, controller.n)])
+    inputs = np.hstack([_input_columns(v, steps), _input_columns(w, steps)])
+    return _propagate(_loop_matrix(plant, controller, gain.inverse()), x,
+                      inputs)
+
+
+def _loop_matrix(plant, controller, gain_inv: Quaternion) -> np.ndarray:
+    """Adjoint step matrix of the closed loop, state (x_p, x_c), inputs
+    (v, w), output y; products of adjoints are adjoints of products."""
+    sp, sc = _step_matrix(plant), _step_matrix(controller)
+    p, c = 2 * plant.n, 2 * controller.n
+    Fp, Gp, Hp, Jp = sp[:p, :p], sp[:p, p:], sp[p:, :p], sp[p:, p:]
+    Fc, Gc, Hc, Jc = sc[:c, :c], sc[:c, c:], sc[c:, :c], sc[c:, c:]
+    g = _adjoint(_components([[gain_inv]], 1, 1))
+    gJp = g @ Jp
+    y = np.hstack([g @ Hp, -gJp @ Hc, gJp, g])
+    u = np.hstack([np.zeros((2, p)), -Hc, np.eye(2), np.zeros((2, 2))])
+    u -= Jc @ y
+    xp = Gp @ u
+    xp[:, :p] += Fp
+    xc = Gc @ y
+    xc[:, p:p + c] += Fc
+    return np.vstack([xp, xc, y])

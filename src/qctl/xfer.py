@@ -12,10 +12,11 @@ from __future__ import annotations
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
-from .qmat import QuatMatrix, matmul, right_eigenvalues, solve_left_linear
+from .qmat import QuatMatrix, right_eigenvalues, solve_left_linear
 from .qpoly import (COEFF_TOL, QPoly, _invert, div_quotient_right, gcld,
                     left_to_right, mul, right_to_left, right_zeros,
                     scale_left)
+from .sim import _impulse_response
 
 
 class StateSpace:
@@ -126,15 +127,9 @@ def as_left_fraction(plant, tol: float = COEFF_TOL) -> LeftFraction:
 
 
 def markov(sys: StateSpace, count: int):
-    """First ``count`` Markov parameters S_0 = J, S_k = H F^{k-1} G."""
-    out = [sys.J]
-    if count <= 1:
-        return out[:count]
-    col = sys.G
-    for _ in range(count - 1):
-        out.append(matmul(sys.H, col)[0, 0])
-        col = matmul(sys.F, col)
-    return out
+    """First ``count`` Markov parameters S_0 = J, S_k = H F^{k-1} G,
+    the system's impulse response from x = 0."""
+    return _impulse_response(sys, max(count, 0))
 
 
 def series(frac, count: int):

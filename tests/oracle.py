@@ -1,5 +1,5 @@
-"""Reference arithmetic for the Diophantine tests, sharing no code with
-qctl.
+"""Reference arithmetic for the Diophantine and simulation tests,
+sharing no code with qctl.
 
 A quaternion w + x i + y j + z k is held as the complex pair (a, b) with
 a = w + x i and b = y + z i, so that q = a + b j.  Because j c = conj(c) j
@@ -10,8 +10,9 @@ for complex c, the Cayley-Dickson product is
 and polynomial products are the same formula with np.convolve.  The
 dense solve assembles the real matrix of (x, y) -> a x + b y column by
 column, one column per unknown real component, and calls
-np.linalg.solve.  qctl polynomials are read only through their float
-components.
+np.linalg.solve.  The simulators step x(k+1) = F x(k) + G u(k),
+y(k) = H x(k) + J u(k) one entry product at a time.  qctl polynomials,
+matrices and quaternions are read only through their float components.
 """
 
 import numpy as np
@@ -104,3 +105,118 @@ def solve_minimal_x(a, b, c):
     M = np.array(cols).T
     v = np.linalg.solve(M, _components(c).ravel())
     return _from_components(v[:4 * nx]), _from_components(v[4 * nx:])
+
+
+# -- simulation -------------------------------------------------------------
+
+def quat_pair(q):
+    """A qctl Quaternion as a complex-pair scalar."""
+    return complex(q.w, q.x), complex(q.y, q.z)
+
+
+def matrix_pair(m):
+    """A qctl QuatMatrix as a complex pair of (rows, cols) arrays."""
+    c = np.array([[(q.w, q.x, q.y, q.z) for q in row] for row in m.data],
+                 dtype=float).reshape(m.rows, m.cols, 4)
+    return c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3]
+
+
+def system_pair(ss):
+    """(F, G, H, J) of a qctl StateSpace as complex pairs."""
+    return (matrix_pair(ss.F), matrix_pair(ss.G), matrix_pair(ss.H),
+            quat_pair(ss.J))
+
+
+def quats_pair(qs):
+    """A list of qctl Quaternions as a complex pair of arrays."""
+    return (np.array([complex(q.w, q.x) for q in qs]),
+            np.array([complex(q.y, q.z) for q in qs]))
+
+
+def add(p, q, sign=1.0):
+    return p[0] + sign * q[0], p[1] + sign * q[1]
+
+
+def inv(q):
+    """q^-1 = conj(q) / |q|^2 with conj(a + b j) = conj(a) - b j."""
+    a, b = q
+    n2 = abs(a) ** 2 + abs(b) ** 2
+    return np.conj(a) / n2, -b / n2
+
+
+def matvec(A, x):
+    """A x for a matrix pair A and a vector pair x."""
+    a, b = mul(A, (x[0][None, :], x[1][None, :]))
+    return a.sum(axis=1), b.sum(axis=1)
+
+
+def _entry(v):
+    return v[0][0], v[1][0]
+
+
+def _scaled(col, s):
+    """The column G (a matrix pair with one column) times the scalar s."""
+    return mul((col[0][:, 0], col[1][:, 0]), s)
+
+
+def _at(seq, k):
+    return seq[k] if k < len(seq) else (0j, 0j)
+
+
+def simulate(system, x, inputs, steps):
+    """Outputs y(0..steps-1) from state pair x under the scalar pairs
+    ``inputs``, zero-extended past their end."""
+    F, G, H, J = system
+    ys = []
+    for k in range(steps):
+        u = _at(inputs, k)
+        ys.append(add(_entry(matvec(H, x)), mul(J, u)))
+        x = add(matvec(F, x), _scaled(G, u))
+    return ys
+
+
+def simulate_feedback(plant, ctrl, xp, xc, v, w, steps):
+    """Outputs of y = plant u + w, u = v - ctrl y, solving the static
+    loop (1 + Jp Jc) y = Hp xp + Jp (v - Hc xc) + w at every step."""
+    Fp, Gp, Hp, Jp = plant
+    Fc, Gc, Hc, Jc = ctrl
+    gain_inv = inv(add((1.0 + 0j, 0j), mul(Jp, Jc)))
+    ys = []
+    for k in range(steps):
+        vk, wk = _at(v, k), _at(w, k)
+        yc = _entry(matvec(Hc, xc))
+        rhs = add(add(_entry(matvec(Hp, xp)), mul(Jp, add(vk, yc, -1.0))),
+                  wk)
+        y = mul(gain_inv, rhs)
+        u = add(vk, add(yc, mul(Jc, y)), -1.0)
+        xp = add(matvec(Fp, xp), _scaled(Gp, u))
+        xc = add(matvec(Fc, xc), _scaled(Gc, y))
+        ys.append(y)
+    return ys
+
+
+def markov(system, count):
+    """J, H G, H F G, ..., H F^(count-2) G."""
+    F, G, H, J = system
+    out = [J]
+    col = (G[0][:, 0], G[1][:, 0])
+    for _ in range(count - 1):
+        out.append(_entry(matvec(H, col)))
+        col = matvec(F, col)
+    return out[:count]
+
+
+def seq_rel_err(got, want):
+    """max_k |got_k - want_k| / max(1, max_k |want_k|) for a list of qctl
+    Quaternions against a list of scalar pairs."""
+    g = quats_pair(got)
+    wa = np.array([p[0] for p in want], dtype=complex)
+    wb = np.array([p[1] for p in want], dtype=complex)
+    if len(g[0]) != len(wa):
+        return float("inf")
+    if not len(wa):
+        return 0.0
+    err = np.sqrt(np.abs(g[0] - wa) ** 2 + np.abs(g[1] - wb) ** 2)
+    scale = max(1.0, float(np.max(np.sqrt(np.abs(wa) ** 2
+                                          + np.abs(wb) ** 2))))
+    return float(np.max(err)) / scale

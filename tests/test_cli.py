@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qctl
 
 from qctl import (ONE, ZERO, I, J, K, LeftFraction, ParseError, QPoly,
                   Quaternion, QuatMatrix, StateSpace, tf_left)
@@ -217,6 +223,50 @@ def test_cli_simulate_feedback_loop(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "steps" in out and "seed" in out
+
+
+def test_cli_simulate_diverging_run_exits_2(tmp_path, capsys):
+    # |10 + i|^k passes the float range at k = 154
+    path = _write(tmp_path, "grow.json", to_doc(StateSpace(
+        QuatMatrix([[Quaternion(10.0, 1.0)]]), QuatMatrix([[ONE]]),
+        QuatMatrix([[ONE]]), ZERO)))
+    csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+    code = main(["simulate", "--system", path, "--steps", "400",
+                 "--csv", str(csv_path), "--svg", str(svg_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "SimulationDiverged" in captured.err
+    assert "k=154" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists() and not svg_path.exists()
+    assert main(["simulate", "--system", path, "--steps", "150"]) == 0
+
+
+def _csv_of_process(tmp_path, name, systems):
+    """CSV bytes written by a separate `qctl simulate` process."""
+    csv_path = tmp_path / name
+    argv = [sys.executable, "-m", "qctl.cli", "simulate", "--steps", "200",
+            "--seed", "3", "--csv", str(csv_path)]
+    for path in systems:
+        argv += ["--system", path]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qctl.__file__).resolve().parent.parent))
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return csv_path.read_bytes()
+
+
+def test_cli_simulate_csv_identical_across_processes(tmp_path):
+    from qctl import place_poles, realize
+    big = _write(tmp_path, "big.json",
+                 to_doc(gen.rand_system(gen.rng_for(61), 16, radius=0.95)))
+    plant = _plant_path(tmp_path)
+    ctrl = _write(tmp_path, "ctrl.json",
+                  to_doc(realize(place_poles(PLANT, [3.0, 4.0]).controller)))
+    for systems in ([big], [plant, ctrl]):
+        first = _csv_of_process(tmp_path, "a.csv", systems)
+        assert first.count(b"\n") == 201
+        assert _csv_of_process(tmp_path, "b.csv", systems) == first
 
 
 def test_cli_digits_flag(tmp_path, capsys):

@@ -119,3 +119,16 @@ def test_feedback_ill_posed_loop():
     with pytest.raises(IllPosedLoop):
         simulate_feedback(plant, ctrl, QuatMatrix.zeros(0, 1),
                           QuatMatrix.zeros(0, 1), [1.0], None, 3)
+
+
+def test_negative_steps_raise_and_zero_steps_are_empty():
+    zeros2 = QuatMatrix.zeros(2, 1)
+    zeros0 = QuatMatrix.zeros(0, 1)
+    with pytest.raises(ValueError):
+        simulate(PLANT, zeros2, None, -3)
+    with pytest.raises(ValueError):
+        simulate_feedback(PLANT, _zero_controller(), zeros2, zeros0,
+                          None, None, -3)
+    assert simulate(PLANT, zeros2, None, 0) == []
+    assert simulate_feedback(PLANT, _zero_controller(), zeros2, zeros0,
+                             None, None, 0) == []

@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from .errors import ParseError, QctlError, SimulationDiverged
+from .errors import IllConditioned, ParseError, QctlError, SimulationDiverged
 from .quat import Quaternion
 from .qmat import QuatMatrix, right_eigenvalues, spectral_radius_stable
 from .qpoly import QPoly, is_stable, mul, right_zeros
@@ -259,11 +259,17 @@ def _cmd_design(args, out):
     out.write(f"controller p: {fmt_poly(result.p, args.digits)}\n")
     out.write(f"controller q: {fmt_poly(result.q, args.digits)}\n")
     out.write("closed-loop denominator zeros:\n")
-    report = right_zeros(result.t_w.den, args.tol)
-    for idx, (z, cls) in enumerate(report.isolated, 1):
-        out.write(f"  {idx}: {fmt_quat(z, args.digits)}\n")
-    for idx, cls in enumerate(report.spherical, 1):
-        out.write(f"  sphere: {fmt_class(cls, args.digits)}\n")
+    try:
+        report = right_zeros(result.t_w.den, args.tol)
+    except IllConditioned as exc:
+        # the listing only illustrates a design that place_poles has
+        # already checked, so it must not turn that design into a failure
+        out.write(f"  not resolved: {exc}\n")
+    else:
+        for idx, (z, cls) in enumerate(report.isolated, 1):
+            out.write(f"  {idx}: {fmt_quat(z, args.digits)}\n")
+        for idx, cls in enumerate(report.spherical, 1):
+            out.write(f"  sphere: {fmt_class(cls, args.digits)}\n")
     spectrum = right_eigenvalues(result.closed_loop.F)
     out.write(f"closed-loop spectrum ({len(spectrum)}):\n")
     for idx, cls in enumerate(spectrum, 1):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import BothZero, EigensolverFailure, IllConditioned, ZeroDivisor
-from .quat import Quaternion, SimilarityClass, _coerce
+from .quat import ZERO_THRESHOLD, Quaternion, SimilarityClass, _coerce
 
 COEFF_TOL = 1e-9
 
@@ -37,7 +37,7 @@ class QPoly:
 
     def __init__(self, coeffs=()):
         cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1].norm2() == 0.0:
+        while cs and not any(cs[-1].components()):
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -180,17 +180,6 @@ def eval_left(a: QPoly, q) -> Quaternion:
     """Left evaluation sum q^i a_i, powers left of the coefficients:
     the conjugate of the right evaluation of conj(a) at conj(q)."""
     return eval_right(a.conjugate(), _coerce(q).conjugate()).conjugate()
-
-
-def _eval_scale(a: QPoly, x: float) -> float:
-    """Conditioning scale for evaluation residuals: sum |a_i| max(1,|x|)^i."""
-    base = max(1.0, x)
-    s = 0.0
-    p = 1.0
-    for c in a.coeffs:
-        s += c.norm() * p
-        p *= base
-    return max(1.0, s)
 
 
 def _invert(q: Quaternion, what: str) -> Quaternion:
@@ -337,12 +326,23 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     return a_r.conjugate(), b_r.conjugate()
 
 
+def _components(a: QPoly) -> np.ndarray:
+    """Coefficients of a as an (L, 4) array of (w, x, y, z) rows."""
+    return np.array([c.components() for c in a.coeffs],
+                    dtype=float).reshape(-1, 4)
+
+
+def _norm(v):
+    """Quaternion norms of components laid along the first axis, summed
+    in the order of Quaternion.norm2 so they match it bit for bit."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+
+
 def _pairs(a: QPoly):
     """Coefficients of a as the complex pairs (q1, conj q2) of
     q = q1 + q2 j, in which left multiplication by a coefficient is
     complex linear."""
-    w = np.array([c.components() for c in a.coeffs],
-                 dtype=float).reshape(-1, 4)
+    w = _components(a)
     return w[:, 0] + 1j * w[:, 1], w[:, 2] - 1j * w[:, 3]
 
 
@@ -431,6 +431,24 @@ def _sylvester_solve(blocks, rows: int, rhs):
     return solutions, sv, resid
 
 
+def _companion_coeffs(C) -> np.ndarray:
+    """Ascending real coefficients of conj(a) a from the (L, 4)
+    components of a.  Coefficient k sums, over i ascending from 0.0, the
+    terms |a_i|^2 (k = 2i) and 2 Re(conj(a_i) a_j) (k = i + j, j > i),
+    each dot product in component order."""
+    n = len(C)
+    dots = (C[:, None, 0] * C[None, :, 0] + C[:, None, 1] * C[None, :, 1]
+            + C[:, None, 2] * C[None, :, 2] + C[:, None, 3] * C[None, :, 3])
+    terms = np.triu(2.0 * dots, 1)
+    terms[np.diag_indices(n)] = np.diag(dots)
+    # row i + 1 holds a_i's terms moved to their powers i + j; a zero
+    # row 0 starts every sum at 0.0, and cumsum adds strictly in order
+    rows = np.arange(n)[:, None]
+    skew = np.zeros((n + 1, 2 * n - 1))
+    skew[rows + 1, rows + np.arange(n)] = terms
+    return np.cumsum(skew, axis=0)[-1]
+
+
 def companion_polynomial(a: QPoly) -> QPoly:
     """conj(a) a, which has real coefficients and degree 2 deg a.
 
@@ -440,17 +458,8 @@ def companion_polynomial(a: QPoly) -> QPoly:
     """
     if a.is_zero():
         raise ZeroDivisor("companion of the zero polynomial")
-    n = len(a.coeffs)
-    out = [0.0] * (2 * n - 1)
-    for i in range(n):
-        ci = a.coeffs[i]
-        out[2 * i] += ci.norm2()
-        for j in range(i + 1, n):
-            cj = a.coeffs[j]
-            # Re(conj(ci) cj) doubled covers the (i,j) and (j,i) terms
-            out[i + j] += 2.0 * (ci.w * cj.w + ci.x * cj.x
-                                 + ci.y * cj.y + ci.z * cj.z)
-    return QPoly([Quaternion(v) for v in out])
+    return QPoly([Quaternion(v)
+                  for v in _companion_coeffs(_components(a)).tolist()])
 
 
 class ZeroReport:
@@ -477,34 +486,109 @@ class ZeroReport:
 
 
 def _cluster_classes(roots, tol):
-    """Group complex roots by similarity class (re, |im|)."""
-    reps = sorted((r.real, abs(r.imag)) for r in roots)
-    classes = []
+    """Group complex roots by similarity class (re, |im|).
+
+    One pass in sorted order: a root joins the first-created class whose
+    running mean lies within tol * max(1, |root|, |mean|) in both parts,
+    or founds a new class.  Such a match puts the mean's real part at
+    most tol * max(1, |root|) / (1 - sqrt(2) tol) below the root's, so a
+    class further below than ``reach`` (that bound at the largest root,
+    doubled against rounding) can match no later root and drops out of
+    the scan.
+    """
+    reps = sorted(zip(roots.real.tolist(), np.abs(roots.imag).tolist()))
+    top = max([1.0] + [math.hypot(re, im) for re, im in reps])
+    reach = (2.0 * tol * top / (1.0 - math.sqrt(2.0) * tol)
+             if tol < 0.35 else math.inf)
+    classes = []     # [re, im, count], in creation order
+    live = []        # the classes still within reach, in creation order
     for re, im in reps:
-        merged = False
-        for idx, (cre, cim, cnt) in enumerate(classes):
+        live = [cls for cls in live if cls[0] >= re - reach]
+        for cls in live:
+            cre, cim, cnt = cls
             scale = max(1.0, math.hypot(re, im), math.hypot(cre, cim))
             if abs(re - cre) <= tol * scale and abs(im - cim) <= tol * scale:
                 # running mean keeps the representative centered
-                classes[idx] = ((cre * cnt + re) / (cnt + 1),
-                                (cim * cnt + im) / (cnt + 1), cnt + 1)
-                merged = True
+                cls[:] = ((cre * cnt + re) / (cnt + 1),
+                          (cim * cnt + im) / (cnt + 1), cnt + 1)
                 break
-        if not merged:
-            classes.append((re, im, 1))
+        else:
+            classes.append([re, im, 1])
+            live.append(classes[-1])
     return [(re, im) for re, im, _ in classes]
+
+
+def _real_class_checks(C, norms, res):
+    """(|a(re)|, sum_i |a_i| max(1, |re|)^i) for every real class re at
+    once, by componentwise Horner steps in eval_right's order.  An
+    overflowed residual is NaN, which accepts nothing."""
+    if not res:
+        return []
+    xr = np.array(res)
+    acc = np.zeros((4, len(xr)))
+    for c in C[::-1]:
+        acc = c[:, None] + acc * xr
+    resid = _norm(acc)
+    resid[~np.isfinite(resid)] = np.nan
+    powers = np.empty((len(C), len(xr)))
+    powers[0] = 1.0
+    powers[1:] = np.maximum(1.0, np.abs(xr))
+    scale = np.cumsum(norms[:, None] * np.cumprod(powers, axis=0),
+                      axis=0)[-1]
+    return zip(resid.tolist(), scale.tolist())
+
+
+# Hamilton product on components stacked along axis 0, in the term order
+# of Quaternion.__mul__: (p q)_m is the sum over t of
+# _SIGN[m, t] p_t q_(_RIGHT[m, t]), t ascending.
+_RIGHT = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                  [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])[:, :, None]
+
+
+def _psi_class_checks(C, classes):
+    """For every non-real class (re, im) at once, the remainder
+    r_1 d + r_0 of a modulo the real psi = d^2 + p_1 d + p_0: long
+    division from the top, which matches div_quotient_right(a, psi) bit
+    for bit because psi is real and monic.  Gives (|r_0|, |r_1|,
+    |r_1|^2, x, |x|, |Im x|) per class, with x = -inverse(r_1) r_0 as
+    Quaternion.inverse and __mul__ compute it."""
+    if not classes:
+        return []
+    re, im = np.array(classes).T
+    p = np.empty((2, 1, len(re)))
+    p[0, 0] = re * re + im * im
+    p[1, 0] = -2.0 * re
+    rem = np.repeat(C[:, :, None], len(re), axis=2)
+    for top in range(len(C) - 1, 1, -1):
+        rem[top - 2:top] -= p * rem[top]
+    r0, r1 = rem[0], rem[1]
+    # squared norms of r_0 and r_1 together, summed as in norm2
+    sq = rem[:2] * rem[:2]
+    n2 = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
+    terms = _SIGN * ((_SIGN[0] * r1 / n2[1])[None] * r0[_RIGHT])
+    x = -(terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
+    sq = x * x
+    return zip(*np.sqrt(n2).tolist(), n2[1].tolist(), x.T.tolist(),
+               np.sqrt(sq[0] + sq[1] + sq[2] + sq[3]).tolist(),
+               np.sqrt(sq[1] + sq[2] + sq[3]).tolist())
 
 
 def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     """All right zeros of a, isolated and spherical.
 
-    Procedure: roots of the companion polynomial give the candidate
-    similarity classes.  For a class with nonzero imaginary norm, divide
-    a by the central quadratic psi(d) = d^2 - 2 re d + (re^2 + im^2);
-    a vanishing remainder means the whole class consists of zeros
-    (spherical), otherwise the remainder r_1 d + r_0 pins the single
-    zero in the class at x = -inverse(r_1) r_0.  Real classes are
-    checked by direct evaluation.
+    Procedure: roots of the companion polynomial conj(a) a give the
+    candidate similarity classes (Janovska & Opfer, SIAM J. Numer. Anal.,
+    2010).  Every class is then checked in one array pass over the
+    coefficients of a.  For all classes with nonzero imaginary norm at
+    once, a is divided by the central quadratics
+    psi(d) = d^2 - 2 re d + (re^2 + im^2); a vanishing remainder means
+    the whole class consists of zeros (spherical), otherwise the
+    remainder r_1 d + r_0 pins the single zero in the class at
+    x = -inverse(r_1) r_0.  All real classes are checked at once by
+    direct evaluation.  A coefficient norm outside [2^-511, 2^511] would
+    take conj(a) a out of the float range, so such an a is first scaled
+    exactly by a power of two; every test below is relative to its size.
 
     Candidates whose class check misses by a factor in (1, 1e3] of the
     tolerance are kept but noted in ``warnings``; beyond that the
@@ -514,47 +598,58 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
         raise ValueError("right_zeros of the zero polynomial")
     if a.degree() < 1:
         return ZeroReport([], [])
-    comp = companion_polynomial(a)
-    coeffs_desc = [c.w for c in reversed(comp.coeffs)]
-    try:
-        roots = np.roots(coeffs_desc)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-
+    C = _components(a)
     cluster_tol = max(1e-6, 10.0 * tol)
+    # overflow and division by zero only yield values that the decisions
+    # below read as misses, so numpy need not warn about them
+    with np.errstate(all="ignore"):
+        norms = _norm(C.T)
+        if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:
+            # largest component to [1, 2), so the largest norm is >= 1
+            C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
+            norms = _norm(C.T)
+        try:
+            roots = np.roots(_companion_coeffs(C)[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(str(exc)) from exc
+        classes = _cluster_classes(roots, cluster_tol)
+        real = [im <= cluster_tol * max(1.0, math.hypot(re, im))
+                for re, im in classes]
+        real_checks = iter(_real_class_checks(
+            C, norms, [re for (re, _), r in zip(classes, real) if r]))
+        psi_checks = iter(_psi_class_checks(
+            C, [cls for cls, r in zip(classes, real) if not r]))
+    a_scale = max(1.0, max(norms.tolist()))
+
     isolated, spherical, warnings = [], [], []
-    a_scale = max(1.0, a.norm_inf())
-    for re, im in _cluster_classes(roots, cluster_tol):
-        scale_c = max(1.0, math.hypot(re, im))
-        if im <= cluster_tol * scale_c:
-            # real class: a single candidate point, validated directly
-            z = Quaternion(re)
-            resid = eval_right(a, z).norm()
-            if resid <= tol * _eval_scale(a, abs(re)):
-                isolated.append((z, SimilarityClass(re, 0.0)))
-            elif resid <= 1e3 * tol * _eval_scale(a, abs(re)):
-                isolated.append((z, SimilarityClass(re, 0.0)))
+    for (re, im), is_real in zip(classes, real):
+        if is_real:
+            # a single candidate point, validated directly
+            resid, scale = next(real_checks)
+            scale = max(1.0, scale)
+            if resid <= tol * scale:
+                isolated.append((Quaternion(re), SimilarityClass(re, 0.0)))
+            elif resid <= 1e3 * tol * scale:
+                isolated.append((Quaternion(re), SimilarityClass(re, 0.0)))
                 warnings.append(
                     f"real zero {re:.6g} accepted with residual {resid:.3g}")
             continue
-        psi = QPoly([Quaternion(re * re + im * im), Quaternion(-2.0 * re),
-                     Quaternion(1.0)])
-        _, rem = div_quotient_right(a, psi)
-        r0, r1 = rem.coeff(0), rem.coeff(1)
-        if r0.norm() <= tol * a_scale and r1.norm() <= tol * a_scale:
+        r0n, r1n, r1n2, x, xn, x_im = next(psi_checks)
+        if r0n <= tol * a_scale and r1n <= tol * a_scale:
             spherical.append(SimilarityClass(re, im))
             continue
-        if r1.norm() <= tol * a_scale:
+        if r1n <= tol * a_scale:
             # algebraically impossible for a genuine companion class
             raise IllConditioned(
                 f"degenerate remainder for class ({re:.6g}, {im:.6g})")
-        x = -(r1.inverse() * r0)
-        xs = max(1.0, x.norm())
-        miss = max(abs(x.w - re), abs(x.imag_norm() - im)) / xs
+        if r1n2 <= ZERO_THRESHOLD * ZERO_THRESHOLD:
+            # what Quaternion.inverse raises for r_1
+            raise ZeroDivisionError("quaternion norm below zero threshold")
+        miss = max(abs(x[0] - re), abs(x_im - im)) / max(1.0, xn)
         if miss <= tol:
-            isolated.append((x, SimilarityClass(re, im)))
+            isolated.append((Quaternion(*x), SimilarityClass(re, im)))
         elif miss <= 1e3 * tol:
-            isolated.append((x, SimilarityClass(re, im)))
+            isolated.append((Quaternion(*x), SimilarityClass(re, im)))
             warnings.append(
                 f"zero in class ({re:.6g}, {im:.6g}) accepted with "
                 f"class mismatch {miss:.3g}")

@@ -107,6 +107,38 @@ def solve_minimal_x(a, b, c):
     return _from_components(v[:4 * nx]), _from_components(v[4 * nx:])
 
 
+# -- zeros ------------------------------------------------------------------
+
+def linear_product(zeros):
+    """(d - z_1)(d - z_2)...(d - z_m), left to right, for scalar pairs."""
+    out = (np.array([1.0 + 0j]), np.array([0j]))
+    for a, b in zeros:
+        out = polymul(out, (np.array([-a, 1.0 + 0j]), np.array([-b, 0j])))
+    return out
+
+
+def eval_right(p, z):
+    """|sum_i p_i z^i| and its conditioning scale sum_i |p_i| |z|^i."""
+    acc = (0j, 0j)
+    for k in range(len(p[0]) - 1, -1, -1):
+        acc = add(mul(acc, z), (p[0][k], p[1][k]))
+    zn = np.sqrt(abs(z[0]) ** 2 + abs(z[1]) ** 2)
+    coeff = np.sqrt(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2)
+    return (float(np.sqrt(abs(acc[0]) ** 2 + abs(acc[1]) ** 2)),
+            float(np.sum(coeff * zn ** np.arange(len(coeff)))))
+
+
+def rem_real_quadratic(p, p1, p0):
+    """Remainder r_0 + r_1 d of p modulo the real d^2 + p1 d + p0; a real
+    divisor commutes with everything, so the sides do not matter."""
+    a, b = p[0].copy(), p[1].copy()
+    for top in range(len(a) - 1, 1, -1):
+        for part in (a, b):
+            part[top - 1] -= p1 * part[top]
+            part[top - 2] -= p0 * part[top]
+    return a[:2], b[:2]
+
+
 # -- simulation -------------------------------------------------------------
 
 def quat_pair(q):

@@ -150,6 +150,24 @@ def test_cli_solve_and_design(tmp_path, capsys):
     assert "controller" in out
 
 
+@pytest.mark.parametrize("seed", [10, 14])
+def test_cli_design_reports_unresolved_zeros_and_exits_0(tmp_path, capsys,
+                                                          seed):
+    # right_zeros cannot resolve these real closed-loop classes yet
+    # (ROADMAP item 2); the listing says so and the design still stands
+    ss = gen.rand_system(gen.rng_for(seed), 4)
+    plant = _write(tmp_path, "plant.json",
+                   to_doc(StateSpace(ss.F, ss.G, ss.H, ZERO)))
+    assert main(["design", "--plant", plant,
+                 "--roots", "1.5,2.1,2.7,3.3"]) == 0
+    out = capsys.readouterr().out
+    _, zeros = out.split("closed-loop denominator zeros:\n")
+    assert zeros.startswith("  not resolved: candidate zero strays from "
+                            "class (")
+    assert zeros.splitlines()[1].startswith("closed-loop spectrum (")
+    assert out.endswith("stability: PASS\n")
+
+
 def test_cli_design_rejects_double_target(tmp_path):
     plant = _plant_path(tmp_path)
     target = _write(tmp_path, "c.json", to_doc(QPoly([12.0, -7.0, 1.0])))

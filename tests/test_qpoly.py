@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -16,6 +17,13 @@ def test_constructor_trims_exact_zero_tail():
     assert a.degree() == 1
     assert QPoly([ZERO]).is_zero()
     assert QPoly().degree() == float("-inf")
+
+
+def test_constructor_keeps_tiny_nonzero_coefficients():
+    # below about 1.5e-154 norm2() underflows to 0, the components do not
+    assert QPoly([1.0, 1e-160]).degree() == 1
+    assert QPoly([Quaternion(0.0, 0.0, 0.0, -1e-170)]).degree() == 0
+    assert QPoly([1.0, Quaternion(0.0, -0.0)]).degree() == 0
 
 
 def test_trim_is_relative_to_scale():
@@ -228,6 +236,21 @@ def test_right_zeros_rejects_zero_polynomial():
         right_zeros(QPoly.zero())
     report = right_zeros(QPoly([2.0]))
     assert not report.isolated and not report.spherical
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-170])
+def test_right_zeros_far_from_unit_scale(s):
+    # conj(a) a leaves the float range at these scales
+    unit = QPoly([Quaternion(-2.0, 1.0), ONE])
+    a = QPoly([Quaternion(-2.0 * s, s), Quaternion(s)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, want = right_zeros(a), right_zeros(unit)
+        assert is_stable(a) == is_stable(unit)
+    assert not report.spherical and not report.warnings
+    [(z, cls)], [(z_want, cls_want)] = report.isolated, want.isolated
+    assert cls.matches(cls_want, 1e-14)
+    assert (z - z_want).norm() <= 1e-14
 
 
 def test_is_stable_thresholds():

@@ -18,7 +18,8 @@ from .qmat import spectral_radius_stable
 from .qpoly import (COEFF_TOL, QPoly, _invert, _sylvester_solve,
                     div_quotient_right, mul, right_to_left, scale_left,
                     scale_right, shift)
-from .xfer import LeftFraction, RightFraction, as_left_fraction, realize
+from .xfer import (LeftFraction, RightFraction, _observer_form, _series,
+                   _unit_at0, as_left_fraction)
 
 
 class DiophantineSolution:
@@ -230,18 +231,21 @@ def build_c(roots, tol: float = COEFF_TOL) -> QPoly:
 class DesignResult:
     """Everything place_poles produces.
 
-    plant: the left plant fraction used.  c: target denominator.
-    p, q: the Diophantine solution (controller den and num).
-    controller: q p^{-1} as a RightFraction.  t_v, t_w: closed-loop
-    transfer functions from reference and output disturbance to y.
-    closed_loop: state-space realization of t_w.  stable: True when the
-    realized loop matrix has spectral radius below one.  t_w is left
-    coprime, so that spectrum is the inverse zero classes of t_w.den
-    plus modes at the origin: the one verdict covers both.
+    plant: the left plant fraction a^{-1} b used.  c: target
+    denominator.  p, q: the Diophantine solution (controller den and
+    num).  controller: q p^{-1} as a RightFraction.  closed_loop: a
+    state-space realization of t_w = p c^{-1} a, composed as in
+    place_poles, with max(deg c, deg a) + deg p states.
+    stable: True when closed_loop.F has spectral radius below one.
+
+    t_v, t_w: the closed-loop transfer functions from reference and
+    output disturbance to y, as left fractions.  Passing None for them
+    defers them: closed_loop_response_tfs(plant, p, q) then computes
+    both on first read.  No design decision rests on them.
     """
 
-    __slots__ = ("plant", "c", "p", "q", "controller", "t_v", "t_w",
-                 "closed_loop", "stable", "warnings")
+    __slots__ = ("plant", "c", "p", "q", "controller", "closed_loop",
+                 "stable", "warnings", "_tfs", "_tol")
 
     def __init__(self, plant, c, p, q, controller, t_v, t_w, closed_loop,
                  stable, warnings):
@@ -250,11 +254,25 @@ class DesignResult:
         self.p = p
         self.q = q
         self.controller = controller
-        self.t_v = t_v
-        self.t_w = t_w
+        self._tfs = None if t_v is None or t_w is None else (t_v, t_w)
+        self._tol = COEFF_TOL
         self.closed_loop = closed_loop
         self.stable = stable
         self.warnings = list(warnings)
+
+    def _response_tfs(self):
+        if self._tfs is None:
+            self._tfs = closed_loop_response_tfs(self.plant, self.p, self.q,
+                                                 self._tol)
+        return self._tfs
+
+    @property
+    def t_v(self):
+        return self._response_tfs()[0]
+
+    @property
+    def t_w(self):
+        return self._response_tfs()[1]
 
     def __repr__(self):
         return (f"DesignResult(stable={self.stable}, "
@@ -290,12 +308,17 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     variable (norms above 1 mean decay) or a ready-made target
     polynomial.
 
-    Solves a p + b q = c for the minimal-degree p, forms the controller
-    q p^{-1}, and packages the closed-loop transfer functions, a
-    realization, and the realization's spectral-radius stability
-    verdict.  NonCausalController signals
-    p(0) = 0, which would make the feedback law depend on the current
-    output.
+    Solves a p + b q = c for the minimal-degree p and forms the
+    controller q p^{-1}.  The closed loop t_w = p c^{-1} a is realized
+    by composition, with no fraction conversion: the observer form of
+    c_ach^{-1} a, with c_ach = a p + b q cut to deg c + 1 coefficients,
+    in series with the observer form of the FIR p.  c_ach, not c, makes
+    the verdict depend on the computed p and q.  That realization is
+    block triangular, so its spectrum is the inverse zero classes of
+    c_ach plus modes at the origin, and stable is its spectral-radius
+    verdict.  NonCausalController signals p(0) = 0, which would make
+    the feedback law depend on the current output; NonCausal signals
+    c_ach(0) = 0.
     """
     frac = as_left_fraction(plant, tol)
     notes = []
@@ -311,13 +334,17 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
         c = build_c(targets, tol)
     if c.is_zero():
         raise IllPosed("target polynomial is zero")
-    sol = solve_diophantine(frac.den, frac.num, c, mode="minimal_x", tol=tol)
+    a, b = frac.den, frac.num
+    sol = solve_diophantine(a, b, c, mode="minimal_x", tol=tol)
     p, q = sol.x, sol.y
     if p.is_zero() or p.at0().norm() <= tol * max(1.0, p.norm_inf()):
         raise NonCausalController("p(0) = 0: the controller is not causal")
     controller = RightFraction(q, p)
-    t_v, t_w = closed_loop_response_tfs(frac, p, q, tol)
-    closed_loop = realize(t_w)
+    c_ach = QPoly((mul(a, p) + mul(b, q)).coeffs[:c.degree() + 1])
+    closed_loop = _series(_observer_form(*_unit_at0(c_ach, a)),
+                          _observer_form(QPoly.one(), p))
     stable = spectral_radius_stable(closed_loop.F)
-    return DesignResult(frac, c, p, q, controller, t_v, t_w, closed_loop,
-                        stable, notes)
+    result = DesignResult(frac, c, p, q, controller, None, None, closed_loop,
+                          stable, notes)
+    result._tol = tol
+    return result

@@ -251,45 +251,102 @@ def fraction_equal(f1, f2, tol: float = 1e-9) -> bool:
 
 
 def realize(frac, tol: float = COEFF_TOL) -> StateSpace:
-    """Controllable-form state-space realization of a causal fraction.
+    """State-space realization of a causal fraction, with no fraction
+    conversion.
 
-    With den(0) = 1, split off the direct term b0 = num(0), write the
-    strictly proper remainder den^{-1} (num - den b0) as a right
-    fraction bhat ahat^{-1} with ahat(0) = 1, and read the companion
-    realization off the right fraction's coefficients:
+    A left fraction den^{-1} num, normalized to den(0) = 1, gets the
+    observer form (see _observer_form).  A right fraction num den^{-1}
+    gets the dual (F^H, H^H, G^H, conj J) of the observer form of the
+    conjugate left fraction conj(den)^{-1} conj(num): since conjugation
+    reverses products, that is the controllable form of num den^{-1}.
+    A StateSpace is realized from its minimal left fraction.
 
-        F = shift matrix with last row (-ahat_n ... -ahat_1)
-        G = e_n,  H = (bhat_n ... bhat_1),  J = b0
-
-    n = max(deg den, deg num).  Right fractions are converted first.
+    n = max(deg den, deg num) states; a fraction equal to its direct
+    term num(0) den(0)^{-1} gets none.  Raises NonCausal when den(0)
+    vanishes.
     """
+    if isinstance(frac, RightFraction):
+        ss = _realize_left(frac.den.conjugate(), frac.num.conjugate(), tol)
+        return StateSpace(_conj_transpose(ss.F), _conj_transpose(ss.H),
+                          _conj_transpose(ss.G), ss.J.conjugate())
     frac = as_left_fraction(frac)
-    den, num = frac.den, frac.num
-    scale = max(1.0, den.norm_inf(), num.norm_inf())
-    d0 = den.at0()
-    if d0.norm() <= ZERO_THRESHOLD * scale:
-        raise NonCausal("den(0) = 0: the fraction has no causal series")
-    if d0 != Quaternion(1.0):
-        u = d0.inverse()
-        den, num = scale_left(u, den), scale_left(u, num)
+    return _realize_left(frac.den, frac.num, tol)
+
+
+def _realize_left(den: QPoly, num: QPoly, tol: float) -> StateSpace:
+    """realize for the left fraction den^{-1} num, given as polynomials
+    that need not be reduced or normalized."""
+    den, num = _unit_at0(den, num)
     b0 = num.at0()
-    btilde = (num - mul(den, QPoly.constant(b0))).trim(tol, scale)
-    n = max(den.degree(), num.degree() if not num.is_zero() else 0)
-    if btilde.is_zero() or n <= 0:
-        return StateSpace(QuatMatrix.zeros(0, 0), QuatMatrix.zeros(0, 1),
-                          QuatMatrix.zeros(1, 0), b0)
-    bhat, ahat = left_to_right(den, btilde)
-    if ahat.at0().norm() <= ZERO_THRESHOLD * max(1.0, ahat.norm_inf()):
-        raise NonCausal("right denominator vanishes at 0")
-    F = [[Quaternion() for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        F[i][i + 1] = Quaternion(1.0)
+    btilde = (num - mul(den, QPoly.constant(b0))).trim(
+        tol, max(1.0, den.norm_inf(), num.norm_inf()))
+    if btilde.is_zero():
+        den, num = QPoly.one(), QPoly.constant(b0)
+    return _observer_form(den, num)
+
+
+def _unit_at0(den: QPoly, num: QPoly):
+    """(u den, u num) with u = den(0)^{-1}: the same left fraction with
+    den(0) = 1.  Raises NonCausal when den(0) vanishes."""
+    d0 = den.at0()
+    if d0.norm() <= ZERO_THRESHOLD * max(1.0, den.norm_inf(), num.norm_inf()):
+        raise NonCausal("den(0) = 0: the fraction has no causal series")
+    if d0 == Quaternion(1.0):
+        return den, num
+    u = d0.inverse()
+    return scale_left(u, den), scale_left(u, num)
+
+
+def _observer_form(den: QPoly, num: QPoly) -> StateSpace:
+    """Observer-form realization of den^{-1} num for den(0) = 1.
+
+    With b0 = num(0) and n = max(deg den, deg num):
+
+        F = first column (-den_1 ... -den_n), ones on the superdiagonal
+        G = (num_1 - den_1 b0; ...; num_n - den_n b0),  H = e_1,  J = b0
+
+    Its Markov parameters solve den S = num term by term, and F is a
+    companion matrix: its spectrum is the inverse zero classes of den
+    plus n - deg den classes at the origin.
+    """
+    n = max(den.degree(), num.degree(), 0)
+    b0 = num.at0()
+    zero, one = Quaternion(), Quaternion(1.0)
+    F = [[zero] * n for _ in range(n)]
     for j in range(n):
-        F[n - 1][j] = -ahat.coeff(n - j)
-    G = [[Quaternion()] for _ in range(n)]
-    G[n - 1][0] = Quaternion(1.0)
-    H = [[bhat.coeff(n - j) for j in range(n)]]
-    return StateSpace(F, G, H, b0)
+        F[j][0] = -den.coeff(j + 1)
+        if j + 1 < n:
+            F[j][j + 1] = one
+    G = [[num.coeff(j + 1) - den.coeff(j + 1) * b0] for j in range(n)]
+    H = [[one if j == 0 else zero for j in range(n)]]
+    return StateSpace(QuatMatrix(F, cols=n), QuatMatrix(G, cols=1),
+                      QuatMatrix(H, cols=n), b0)
+
+
+def _series(s1: StateSpace, s2: StateSpace) -> StateSpace:
+    """The series connection u -> s1 -> s2 -> y, whose transfer function
+    is S2 S1 (s1 acts first, so its series multiplies from the right):
+
+        F = [[F1, 0], [G2 H1, F2]],  G = [G1; G2 J1],
+        H = [J2 H1, H2],             J = J2 J1
+    """
+    n1, n2 = s1.n, s2.n
+    zero = Quaternion()
+    g2 = [s2.G[i, 0] for i in range(n2)]
+    h1 = [s1.H[0, j] for j in range(n1)]
+    F = ([list(s1.F.data[i]) + [zero] * n2 for i in range(n1)]
+         + [[g * h for h in h1] + list(s2.F.data[i])
+            for i, g in enumerate(g2)])
+    G = [[s1.G[i, 0]] for i in range(n1)] + [[g * s1.J] for g in g2]
+    H = [[s2.J * h for h in h1] + list(s2.H.data[0])]
+    return StateSpace(QuatMatrix(F, cols=n1 + n2),
+                      QuatMatrix(G, cols=1), QuatMatrix(H, cols=n1 + n2),
+                      s2.J * s1.J)
+
+
+def _conj_transpose(A: QuatMatrix) -> QuatMatrix:
+    return QuatMatrix([[A[i, j].conjugate() for i in range(A.rows)]
+                       for j in range(A.cols)], cols=A.rows)
 
 
 def inverse_class(cls: SimilarityClass) -> SimilarityClass:

@@ -10,8 +10,10 @@ import numpy as np
 from qctl import QPoly, Quaternion, QuatMatrix, StateSpace
 
 
-def rng_for(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def rng_for(seed: int, stream: int = None) -> np.random.Generator:
+    """The generator of ``seed``, or of the pair (seed, stream) so that
+    families drawn from different streams never shift each other."""
+    return np.random.default_rng(seed if stream is None else [seed, stream])
 
 
 def rand_quat(rng, scale: float = 1.0) -> Quaternion:
@@ -86,3 +88,34 @@ def rand_system(rng, n: int, radius: float = 1.0) -> StateSpace:
     G = rand_matrix(rng, n, 1)
     H = rand_matrix(rng, 1, n)
     return StateSpace(F, G, H, rand_quat(rng))
+
+
+def _quat_grid(c) -> QuatMatrix:
+    return QuatMatrix([[Quaternion(*(float(v) for v in e)) for e in row]
+                       for row in c], cols=c.shape[1])
+
+
+def plant_system(rng, n: int) -> StateSpace:
+    """Strictly proper n-state plant (F, G, H, J = 0) drawn as component
+    arrays in [-1, 1), F scaled to spectral radius 1: the construction of
+    the benchmark's design plants."""
+    from qctl import complex_adjoint
+    F = 2.0 * rng.random((n, n, 4)) - 1.0
+    top = max(abs(np.linalg.eigvals(complex_adjoint(_quat_grid(F)))))
+    G = 2.0 * rng.random((n, 1, 4)) - 1.0
+    H = 2.0 * rng.random((1, n, 4)) - 1.0
+    return StateSpace(_quat_grid(F / top), _quat_grid(G), _quat_grid(H),
+                      Quaternion())
+
+
+def spaced_nonreal(rng, m: int, start: float = 1.5, gap: float = 0.6):
+    """m non-real quaternions whose norms are at least gap/2 apart,
+    starting above ``start``."""
+    out = []
+    for i in range(m):
+        r = start + gap * i + 0.5 * gap * rng.random()
+        th = 0.4 + 2.2 * rng.random()
+        u = rng.normal(size=3)
+        u = r * np.sin(th) * u / np.linalg.norm(u)
+        out.append(Quaternion(r * np.cos(th), *(float(v) for v in u)))
+    return out

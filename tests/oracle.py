@@ -1,5 +1,5 @@
-"""Reference arithmetic for the Diophantine and simulation tests,
-sharing no code with qctl.
+"""Reference arithmetic for the Diophantine, simulation and design
+tests, sharing no code with qctl.
 
 A quaternion w + x i + y j + z k is held as the complex pair (a, b) with
 a = w + x i and b = y + z i, so that q = a + b j.  Because j c = conj(c) j
@@ -11,8 +11,10 @@ and polynomial products are the same formula with np.convolve.  The
 dense solve assembles the real matrix of (x, y) -> a x + b y column by
 column, one column per unknown real component, and calls
 np.linalg.solve.  The simulators step x(k+1) = F x(k) + G u(k),
-y(k) = H x(k) + J u(k) one entry product at a time.  qctl polynomials,
-matrices and quaternions are read only through their float components.
+y(k) = H x(k) + J u(k) one entry product at a time.  Right-eigenvalue
+classes come from numpy's eigenvalues of the complex adjoint built here.
+qctl polynomials, matrices and quaternions are read only through their
+float components.
 """
 
 import numpy as np
@@ -252,3 +254,41 @@ def seq_rel_err(got, want):
     scale = max(1.0, float(np.max(np.sqrt(np.abs(wa) ** 2
                                           + np.abs(wb) ** 2))))
     return float(np.max(err)) / scale
+
+
+# -- right eigenvalues ------------------------------------------------------
+
+def right_eig_classes(A):
+    """Right-eigenvalue classes (re, |im|) of a square matrix pair, from
+    the eigenvalues of its complex adjoint [[a, b], [-conj b, conj a]].
+    The adjoint holds every class twice, so the sorted list is halved."""
+    a, b = A
+    lam = np.linalg.eigvals(np.block([[a, b], [-np.conj(b), np.conj(a)]]))
+    keys = sorted((float(v.real), float(abs(v.imag))) for v in lam)
+    return keys[0::2]
+
+
+def inverse_class(z):
+    """Class (re, |im|) of the inverse of the scalar pair z."""
+    a, b = z
+    im = np.sqrt(a.imag ** 2 + abs(b) ** 2)
+    n2 = a.real ** 2 + im ** 2
+    return float(a.real / n2), float(im / n2)
+
+
+def class_distance(got, want):
+    """Largest distance between matched classes of two multisets, each
+    relative to max(1, |class|); infinite when the counts differ.  Each
+    class of ``got`` takes the nearest class of ``want`` still free."""
+    if len(got) != len(want):
+        return float("inf")
+    left = list(want)
+    worst = 0.0
+    for re, im in got:
+        dist = [max(abs(re - wre), abs(im - wim))
+                / max(1.0, np.hypot(re, im), np.hypot(wre, wim))
+                for wre, wim in left]
+        i = int(np.argmin(dist))
+        worst = max(worst, dist[i])
+        left.pop(i)
+    return worst

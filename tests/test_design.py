@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import pytest
@@ -6,7 +7,7 @@ from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllPosed,
                   LeftFraction, NonCausalController, QPoly, Quaternion,
                   QuatMatrix, SimilarityClass, StateSpace, Unsolvable,
                   ZeroDivisor, ZeroRoot, build_c, closed_loop_response_tfs,
-                  fraction_equal, markov, place_poles, pmul,
+                  fraction_equal, markov, place_poles, pmul, realize,
                   right_eigenvalues, right_zeros, series,
                   solve_diophantine, tf_left)
 import gen
@@ -177,3 +178,20 @@ def test_closed_loop_response_tfs_match_design():
     assert fraction_equal(t_v, res.t_v, 1e-8)
     with pytest.raises(IllPosed):
         closed_loop_response_tfs(res.plant, QPoly.zero(), QPoly.zero())
+
+
+def test_place_poles_runs_no_fraction_conversion(monkeypatch):
+    def conversion(*args, **kwargs):
+        raise AssertionError("fraction conversion called")
+
+    for module in ("qctl.design", "qctl.xfer"):
+        mod = importlib.import_module(module)
+        for name in ("right_to_left", "left_to_right",
+                     "closed_loop_response_tfs"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, conversion)
+    res = place_poles(PLANT, [3.0, 4.0])
+    assert res.stable and res.closed_loop.n == 3
+    assert realize(res.controller).n == 1
+    with pytest.raises(AssertionError, match="fraction conversion"):
+        res.t_w

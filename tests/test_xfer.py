@@ -4,7 +4,7 @@ from qctl import (ONE, ZERO, I, J, K, DimensionMismatch, LeftFraction,
                   NonCausal, QPoly, Quaternion, QuatMatrix, RightFraction,
                   SimilarityClass, StateSpace, ZeroDivisor,
                   denominator_classes_agree, fraction_equal, inverse_class,
-                  markov, pmul, pole_classes, realize, series,
+                  markov, pmul, pole_classes, realize, scale_right, series,
                   spectrum_matches_poles, tf_left, tf_right)
 import gen
 
@@ -141,6 +141,28 @@ def test_realize_right_fraction_input():
     got = markov(ss, 8)
     for u, v in zip(want, got):
         assert (u - v).norm() <= 1e-8 * max(1.0, u.norm())
+
+
+def _right_fractions():
+    yield tf_right(PLANT)
+    rng = gen.rng_for(118)
+    for _ in range(30):
+        deg = int(rng.integers(1, 5))
+        unit = gen.rand_nonzero_quat(rng)
+        den = gen.rand_stable_denominator(rng, deg)
+        num = gen.rand_poly(rng, int(rng.integers(0, deg + 1)))
+        # a right unit leaves num den^{-1} unchanged but den(0) != 1
+        yield RightFraction(scale_right(num, unit), scale_right(den, unit))
+
+
+def test_realize_right_fraction_matches_series():
+    for rf in _right_fractions():
+        ss = realize(rf)
+        assert ss.n == max(rf.den.degree(), rf.num.degree())
+        want = series(rf, 16)
+        got = markov(ss, 16)
+        scale = max(1.0, max(u.norm() for u in want))
+        assert max((u - v).norm() for u, v in zip(want, got)) <= 1e-12 * scale
 
 
 def test_realize_noncausal_raises():

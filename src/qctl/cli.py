@@ -392,8 +392,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qctl", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p, poly_multi=False):
-        p.add_argument("--tol", type=float, default=None)
+    def common(p, poly_multi=False, tol_help=None):
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--digits", type=int, default=5)
         if poly_multi:
             p.add_argument("--poly", action="append", metavar="PATH")
@@ -404,7 +404,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tf", help="minimal left and right fractions")
     p.add_argument("--system", required=True, metavar="PATH")
-    common(p)
+    common(p, tol_help="relative residual at which a row H F^m depends "
+           "on the earlier ones, fixing deg den (default 1e-7)")
 
     p = sub.add_parser("zeros", help="right zeros of a polynomial")
     p.add_argument("--poly", required=True, metavar="PATH")

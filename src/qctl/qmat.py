@@ -160,6 +160,16 @@ class RightSpectrum:
         return f"RightSpectrum[{inner}]"
 
 
+def _adjoint_eigenvalues(A: QuatMatrix) -> np.ndarray:
+    """The 2n eigenvalues of the complex adjoint of a square A."""
+    if A.rows != A.cols:
+        raise DimensionMismatch("right eigenvalues need a square matrix")
+    try:
+        return np.linalg.eigvals(complex_adjoint(A))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+
+
 def right_eigenvalues(A: QuatMatrix, tol: float = 1e-9) -> RightSpectrum:
     """Standard right eigenvalues of a square quaternionic matrix.
 
@@ -167,23 +177,14 @@ def right_eigenvalues(A: QuatMatrix, tol: float = 1e-9) -> RightSpectrum:
     each pair collapses to one similarity class.  ``tol`` bounds the
     allowed mismatch (relative to the eigenvalue scale) when pairing.
     """
-    if A.rows != A.cols:
-        raise DimensionMismatch("right_eigenvalues needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return RightSpectrum([])
-    try:
-        lam = np.linalg.eigvals(complex_adjoint(A))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-
+    lam = _adjoint_eigenvalues(A)
     # Conjugate mates share (re, |im|); sorting on that key makes them
     # adjacent.  Real eigenvalues appear twice and pair with themselves.
-    order = sorted(range(2 * n), key=lambda t: (lam[t].real, abs(lam[t].imag),
-                                                lam[t].imag))
+    order = sorted(range(len(lam)), key=lambda t: (
+        lam[t].real, abs(lam[t].imag), lam[t].imag))
     pair_tol = max(tol, 1e-8)
     classes = []
-    for t in range(0, 2 * n, 2):
+    for t in range(0, len(lam), 2):
         a = lam[order[t]]
         b = lam[order[t + 1]]
         scale = max(1.0, abs(a), abs(b))
@@ -199,8 +200,9 @@ def right_eigenvalues(A: QuatMatrix, tol: float = 1e-9) -> RightSpectrum:
 
 def spectral_radius_stable(A: QuatMatrix, tol: float = 1e-9) -> bool:
     """Whether every right-eigenvalue class norm is strictly below
-    1 - tol, the contraction condition for x(k+1) = A x(k)."""
-    return all(c.norm() < 1.0 - tol for c in right_eigenvalues(A, tol))
+    1 - tol, the contraction condition for x(k+1) = A x(k).  Each adjoint
+    eigenvalue has the norm of its class, so none need pairing."""
+    return bool(np.all(np.abs(_adjoint_eigenvalues(A)) < 1.0 - tol))
 
 
 def solve_left_linear(coeff_rows, rhs):

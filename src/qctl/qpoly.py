@@ -574,6 +574,25 @@ def _psi_class_checks(C, classes):
                np.sqrt(sq[1] + sq[2] + sq[3]).tolist())
 
 
+def _candidate_classes(a: QPoly, cluster_tol: float):
+    """(C, norms, classes): the (L, 4) components of a, their norms and
+    the clustered classes (re, im) of the roots of conj(a) a.  An a with
+    a coefficient norm outside [2^-511, 2^511], which would take conj(a)
+    a out of the float range, is first scaled exactly by a power of two."""
+    C = _components(a)
+    with np.errstate(all="ignore"):
+        norms = _norm(C.T)
+        if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:
+            # largest component to [1, 2), so the largest norm is >= 1
+            C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
+            norms = _norm(C.T)
+        try:
+            roots = np.roots(_companion_coeffs(C)[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(str(exc)) from exc
+        return C, norms, _cluster_classes(roots, cluster_tol)
+
+
 def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     """All right zeros of a, isolated and spherical.
 
@@ -586,33 +605,20 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     the whole class consists of zeros (spherical), otherwise the
     remainder r_1 d + r_0 pins the single zero in the class at
     x = -inverse(r_1) r_0.  All real classes are checked at once by
-    direct evaluation.  A coefficient norm outside [2^-511, 2^511] would
-    take conj(a) a out of the float range, so such an a is first scaled
-    exactly by a power of two; every test below is relative to its size.
+    direct evaluation, each test relative to the size of a.
 
     Candidates whose class check misses by a factor in (1, 1e3] of the
     tolerance are kept but noted in ``warnings``; beyond that the
-    polynomial is reported IllConditioned rather than silently wrong.
+    polynomial is reported IllConditioned rather than silently wrong, as
+    is a count of zeros (a sphere counting twice) above deg a.
     """
     if a.is_zero():
         raise ValueError("right_zeros of the zero polynomial")
-    if a.degree() < 1:
-        return ZeroReport([], [])
-    C = _components(a)
     cluster_tol = max(1e-6, 10.0 * tol)
+    C, norms, classes = _candidate_classes(a, cluster_tol)
     # overflow and division by zero only yield values that the decisions
     # below read as misses, so numpy need not warn about them
     with np.errstate(all="ignore"):
-        norms = _norm(C.T)
-        if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:
-            # largest component to [1, 2), so the largest norm is >= 1
-            C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
-            norms = _norm(C.T)
-        try:
-            roots = np.roots(_companion_coeffs(C)[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(str(exc)) from exc
-        classes = _cluster_classes(roots, cluster_tol)
         real = [im <= cluster_tol * max(1.0, math.hypot(re, im))
                 for re, im in classes]
         real_checks = iter(_real_class_checks(
@@ -657,22 +663,19 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
             raise IllConditioned(
                 f"candidate zero strays from class ({re:.6g}, {im:.6g}) "
                 f"by {miss:.3g}")
+    count = len(isolated) + 2 * len(spherical)
+    if count > a.degree():
+        raise IllConditioned(
+            f"{count} zeros found for a polynomial of degree {a.degree()}")
     return ZeroReport(isolated, spherical, warnings)
 
 
 def is_stable(a: QPoly, tol: float = 1e-9) -> bool:
     """Stability in the backward-shift variable: every right zero
     (isolated or spherical) must have norm > 1 + tol.  Nonzero constants
-    are vacuously stable."""
+    are vacuously stable.  Each class of a root of conj(a) a holds zeros
+    of its norm, so right_zeros' candidate classes decide it."""
     if a.is_zero():
         raise ValueError("stability of the zero polynomial is undefined")
-    if a.degree() < 1:
-        return True
-    report = right_zeros(a)
-    for z, _ in report.isolated:
-        if z.norm() <= 1.0 + tol:
-            return False
-    for cls in report.spherical:
-        if cls.norm() <= 1.0 + tol:
-            return False
-    return True
+    _, _, classes = _candidate_classes(a, max(1e-6, 10.0 * COEFF_TOL))
+    return all(math.hypot(re, im) > 1.0 + tol for re, im in classes)

@@ -9,10 +9,12 @@ polynomials.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
-from .qmat import QuatMatrix, right_eigenvalues, solve_left_linear
+from .qmat import QuatMatrix, complex_adjoint, right_eigenvalues
 from .qpoly import (COEFF_TOL, QPoly, _invert, div_quotient_right, gcld,
                     left_to_right, mul, right_to_left, right_zeros,
                     scale_left)
@@ -159,76 +161,68 @@ def _left_series(den: QPoly, num: QPoly, count: int):
     return s
 
 
-def _left_annihilator(ms, n: int, tol: float):
-    """Minimal monic-at-0 polynomial a with sum_i a_i S_{k-i} = 0 for
-    all k > deg a, given Markov parameters ``ms`` of a system with at
-    most n states.  Returns (a, b) with b the matching numerator."""
-    for m in range(0, 2 * n + 1):
-        if m == 0:
-            coeffs = [Quaternion(1.0)]
-        else:
-            rows, rhs = [], []
-            for k in range(m + 1, m + 2 * n + 1):
-                row = [ms[k - i] for i in range(1, m + 1)]
-                w = max([1.0] + [s.norm() for s in row] + [ms[k].norm()])
-                rows.append([s * (1.0 / w) for s in row])
-                rhs.append(-ms[k] * (1.0 / w))
-            if not rows:
-                continue
-            sol = solve_left_linear(rows, rhs)
-            coeffs = [Quaternion(1.0)] + sol
-        # verify on a longer guard window than was fit
-        amax = max(1.0, sum(c.norm() for c in coeffs))
-        ok = True
-        for k in range(m + 1, min(m + 2 * n + 5, len(ms))):
-            acc = Quaternion()
-            scale = 1.0
-            for i in range(0, m + 1):
-                acc = acc + coeffs[i] * ms[k - i]
-                scale += coeffs[i].norm() * ms[k - i].norm()
-            if acc.norm() > tol * max(scale, amax):
-                ok = False
-                break
-        if not ok:
-            continue
-        a = QPoly(coeffs)
-        bs = []
-        for k in range(0, m + 1):
-            acc = Quaternion()
-            for i in range(0, min(k, m) + 1):
-                acc = acc + coeffs[i] * ms[k - i]
-            bs.append(acc)
-        b = QPoly(bs).trim(tol, max(1.0, max(s.norm() for s in ms)))
-        return a, b
-    raise AnnihilatorNotFound(
-        "no annihilating denominator up to degree "
-        f"{2 * n} met the residual tolerance {tol:g}")
+def _first_dependence(A, rows, tol: float):
+    """First left dependence among the blocks adj(r F^k) = rows A^k, for
+    ``rows`` = adj(r) (2 x N) and A = adj(F).  For m = 0, 1, ..., N/2,
+    solves sum_i a_i1 B[0] + a_i2 B[1] = -(first row of block m) over the
+    blocks B = m-1, ..., 0 in least squares with unit-norm rows, that is
+    r F^m = -sum_i a_i r F^(m-i) with a_i = a_i1 + a_i2 j, and returns
+    (x, stacked blocks m-1, ..., 0) once the residual is at most tol
+    times the norm of that row; a_i's pair is x[2i-2:2i]."""
+    block, earlier = rows, np.empty((0, A.shape[0]), dtype=complex)
+    for m in range(A.shape[0] // 2 + 1):
+        target, x = block[0], np.empty(0, dtype=complex)
+        resid = target
+        if m:
+            w = 1.0 / np.linalg.norm(earlier, axis=1)
+            x = np.linalg.lstsq(earlier.T * w, -target, rcond=None)[0] * w
+            resid = x @ earlier + target
+        if np.linalg.norm(resid) <= tol * np.linalg.norm(target):
+            return x, earlier
+        earlier, block = np.vstack([block, earlier]), block @ A
+    raise AnnihilatorNotFound(f"no dependence up to degree {m} met the "
+                              f"relative residual tolerance {tol:g}")
+
+
+def _annihilator(sys: StateSpace, tol: float):
+    """(a, b), a(0) = 1, with a^{-1} b the minimal left fraction.  The
+    rows H F^k are restricted to the controllable subspace (spanned by
+    the dual rows G^H (F^H)^k), where their first dependence gives a;
+    b is a S cut after d^(deg a), S the Markov parameters."""
+    F = complex_adjoint(sys.F)
+    _, ctrb = _first_dependence(F.conj().T, complex_adjoint(sys.G).conj().T,
+                                tol)
+    Q = np.linalg.qr(ctrb.conj().T)[0]
+    x, _ = _first_dependence(Q.conj().T @ F @ Q,
+                             complex_adjoint(sys.H) @ Q, tol)
+    a = QPoly([Quaternion(1.0)] + [Quaternion(u.real, u.imag, v.real, v.imag)
+                                   for u, v in zip(x[0::2], x[1::2])])
+    b = mul(a, QPoly(markov(sys, sys.n + 1)))
+    return a, QPoly(b.coeffs[:a.degree() + 1])
 
 
 def tf_left(sys: StateSpace, tol: float = 1e-7) -> LeftFraction:
     """Minimal left fraction den^{-1} num equal to the system's series.
-
-    Searches denominator degrees 0..2n, fits the annihilation equations
-    on a 2n-wide window of Markov parameters, and keeps the first
-    candidate that also annihilates a longer guard window.
-    """
-    n = sys.n
-    ms = markov(sys, 4 * n + 5)
-    a, b = _left_annihilator(ms, n, tol)
-    return LeftFraction(a, b)
+    deg den is the first m at which H F^m, on the controllable subspace,
+    lies in the left span of H F^(m-1), ..., H: its least-squares
+    residual on the complex adjoint is at most ``tol`` times its norm."""
+    return LeftFraction(*_annihilator(sys, tol))
 
 
 def tf_right(sys: StateSpace, tol: float = 1e-7) -> RightFraction:
-    """Minimal right fraction num den^{-1} for the system.
-
-    Computed through the left fraction of the conjugated Markov
-    sequence: if sum a_i conj(S_{k-i}) = 0 then conjugating gives
-    sum S_{k-i} conj(a_i) = 0, a right annihilator.
-    """
-    n = sys.n
-    ms = [s.conjugate() for s in markov(sys, 4 * n + 5)]
-    a, b = _left_annihilator(ms, n, tol)
+    """Minimal right fraction num den^{-1}: the conjugate of the left
+    fraction of the dual system, as sum a_i conj(S_(k-i)) = 0 conjugates
+    to sum S_(k-i) conj(a_i) = 0.  ``tol`` is tf_left's, on the dual."""
+    a, b = _annihilator(_dual(sys), tol)
     return RightFraction(b.conjugate(), a.conjugate())
+
+
+def _dual(sys: StateSpace) -> StateSpace:
+    """(F^H, H^H, G^H, conj J), whose Markov parameters are conj(S_k)."""
+    def ct(A):
+        return QuatMatrix([[A[i, j].conjugate() for i in range(A.rows)]
+                           for j in range(A.cols)], cols=A.rows)
+    return StateSpace(ct(sys.F), ct(sys.H), ct(sys.G), sys.J.conjugate())
 
 
 def fraction_equal(f1, f2, tol: float = 1e-9) -> bool:
@@ -256,9 +250,9 @@ def realize(frac, tol: float = COEFF_TOL) -> StateSpace:
 
     A left fraction den^{-1} num, normalized to den(0) = 1, gets the
     observer form (see _observer_form).  A right fraction num den^{-1}
-    gets the dual (F^H, H^H, G^H, conj J) of the observer form of the
-    conjugate left fraction conj(den)^{-1} conj(num): since conjugation
-    reverses products, that is the controllable form of num den^{-1}.
+    gets the dual (see _dual) of the observer form of the conjugate left
+    fraction conj(den)^{-1} conj(num): since conjugation reverses
+    products, that is the controllable form of num den^{-1}.
     A StateSpace is realized from its minimal left fraction.
 
     n = max(deg den, deg num) states; a fraction equal to its direct
@@ -266,9 +260,8 @@ def realize(frac, tol: float = COEFF_TOL) -> StateSpace:
     vanishes.
     """
     if isinstance(frac, RightFraction):
-        ss = _realize_left(frac.den.conjugate(), frac.num.conjugate(), tol)
-        return StateSpace(_conj_transpose(ss.F), _conj_transpose(ss.H),
-                          _conj_transpose(ss.G), ss.J.conjugate())
+        return _dual(_realize_left(frac.den.conjugate(),
+                                   frac.num.conjugate(), tol))
     frac = as_left_fraction(frac)
     return _realize_left(frac.den, frac.num, tol)
 
@@ -342,11 +335,6 @@ def _series(s1: StateSpace, s2: StateSpace) -> StateSpace:
     return StateSpace(QuatMatrix(F, cols=n1 + n2),
                       QuatMatrix(G, cols=1), QuatMatrix(H, cols=n1 + n2),
                       s2.J * s1.J)
-
-
-def _conj_transpose(A: QuatMatrix) -> QuatMatrix:
-    return QuatMatrix([[A[i, j].conjugate() for i in range(A.rows)]
-                       for j in range(A.cols)], cols=A.rows)
 
 
 def inverse_class(cls: SimilarityClass) -> SimilarityClass:

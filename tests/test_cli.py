@@ -8,8 +8,9 @@ import pytest
 
 import qctl
 
-from qctl import (ONE, ZERO, I, J, K, LeftFraction, ParseError, QPoly,
-                  Quaternion, QuatMatrix, StateSpace, tf_left)
+from qctl import (ONE, ZERO, I, J, K, IllConditioned, LeftFraction,
+                  ParseError, QPoly, Quaternion, QuatMatrix, StateSpace,
+                  place_poles, right_zeros, tf_left)
 from qctl.cli import main, parse_roots
 from qctl.serialize import (detect, dump_document, fraction_from_doc,
                             load_document, matrix_from_doc, poly_from_doc,
@@ -154,16 +155,18 @@ def test_cli_solve_and_design(tmp_path, capsys):
 def test_cli_design_reports_unresolved_zeros_and_exits_0(tmp_path, capsys,
                                                           seed):
     # right_zeros cannot resolve these real closed-loop classes yet
-    # (ROADMAP item 2); the listing says so and the design still stands
+    # (ROADMAP item 4); the listing says so and the design still stands
     ss = gen.rand_system(gen.rng_for(seed), 4)
-    plant = _write(tmp_path, "plant.json",
-                   to_doc(StateSpace(ss.F, ss.G, ss.H, ZERO)))
+    plant_ss = StateSpace(ss.F, ss.G, ss.H, ZERO)
+    plant = _write(tmp_path, "plant.json", to_doc(plant_ss))
     assert main(["design", "--plant", plant,
                  "--roots", "1.5,2.1,2.7,3.3"]) == 0
     out = capsys.readouterr().out
     _, zeros = out.split("closed-loop denominator zeros:\n")
-    assert zeros.startswith("  not resolved: candidate zero strays from "
-                            "class (")
+    res = place_poles(plant_ss, parse_roots("1.5,2.1,2.7,3.3"), 1e-9)
+    with pytest.raises(IllConditioned) as exc:
+        right_zeros(res.t_w.den, 1e-9)
+    assert zeros.splitlines()[0] == "  not resolved: " + str(exc.value)
     assert zeros.splitlines()[1].startswith("closed-loop spectrum (")
     assert out.endswith("stability: PASS\n")
 

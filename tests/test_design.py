@@ -3,13 +3,13 @@ import warnings
 
 import pytest
 
-from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllPosed,
-                  LeftFraction, NonCausalController, QPoly, Quaternion,
-                  QuatMatrix, SimilarityClass, StateSpace, Unsolvable,
-                  ZeroDivisor, ZeroRoot, build_c, closed_loop_response_tfs,
-                  fraction_equal, markov, place_poles, pmul, realize,
-                  right_eigenvalues, right_zeros, series,
-                  solve_diophantine, tf_left)
+from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllConditioned,
+                  IllPosed, LeftFraction, NonCausalController, QPoly,
+                  Quaternion, QuatMatrix, SimilarityClass, StateSpace,
+                  Unsolvable, ZeroDivisor, ZeroRoot, build_c,
+                  closed_loop_response_tfs, fraction_equal, markov,
+                  place_poles, pmul, realize, right_eigenvalues,
+                  right_zeros, series, solve_diophantine, tf_left)
 import gen
 
 PLANT = StateSpace(QuatMatrix([[ONE, I], [J, K]]),
@@ -127,6 +127,22 @@ def test_place_poles_reference_design():
     assert (res.t_v.den - res.t_w.den).norm_inf() <= 1e-12
     ident = pmul(res.plant.den, res.p) + pmul(res.plant.num, res.q) - res.c
     assert ident.norm_inf() <= 1e-8
+
+
+def test_right_zeros_never_reports_more_zeros_than_the_degree():
+    # the closed-loop denominators of qctl design with real targets: a
+    # degree-4 polynomial has at most 4 zeros, a sphere counting twice
+    for seed in range(20):
+        ss = gen.rand_system(gen.rng_for(seed), 4)
+        res = place_poles(StateSpace(ss.F, ss.G, ss.H, ZERO),
+                          [1.5, 2.1, 2.7, 3.3], 1e-9)
+        den = res.t_w.den
+        try:
+            report = right_zeros(den, 1e-9)
+        except IllConditioned:
+            continue
+        count = len(report.isolated) + 2 * len(report.spherical)
+        assert count <= den.degree(), seed
 
 
 def test_place_poles_accepts_fraction_and_polynomial_target():

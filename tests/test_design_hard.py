@@ -57,3 +57,10 @@ def test_closed_loop_markov_matches_feedback_simulation(n):
             [], [(1.0 + 0j, 0j)], count)
         err = oracle.seq_rel_err(markov(res.closed_loop, count), want)
         assert err <= MARKOV_TOL, (seed, err)
+
+
+def test_sixteen_state_design_decides_stability():
+    # the adjoint spectrum of this closed loop does not pair into
+    # conjugates at 1e-8; the verdict needs only its norms
+    _, _, res = _design(16, 7)
+    assert res.stable is True

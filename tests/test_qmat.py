@@ -127,6 +127,20 @@ def test_spectral_radius_boundary():
     assert not spectral_radius_stable(QuatMatrix([[Quaternion(0.9999999999)]]))
 
 
+def test_spectral_radius_stable_on_hidden_jordan_blocks():
+    # F = T J T^-1 for the 3 x 3 Jordan block J at 0.5: the adjoint
+    # eigenvalues split by about eps^(1/3), too far apart to pair into
+    # conjugates, yet every one has norm near 0.5
+    jordan = np.kron(np.eye(2), 0.5 * np.eye(3) + np.eye(3, k=1))
+    for seed in range(20):
+        T = complex_adjoint(gen.rand_matrix(gen.rng_for(seed, 31), 3, 3))
+        M = T @ jordan @ np.linalg.inv(T)
+        F = QuatMatrix([[Quaternion(M[i, j].real, M[i, j].imag,
+                                    M[i, 3 + j].real, M[i, 3 + j].imag)
+                         for j in range(3)] for i in range(3)])
+        assert spectral_radius_stable(F) is True, seed
+
+
 def test_solve_left_linear_exact():
     # one equation, one unknown: p * s = r with known p
     p = Quaternion(1.0, -2.0, 0.5, 3.0)

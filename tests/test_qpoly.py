@@ -261,6 +261,19 @@ def test_is_stable_thresholds():
     assert is_stable(QPoly([5.0]))
 
 
+@pytest.mark.parametrize("deg", [4, 8, 12])
+def test_is_stable_on_products_of_spaced_real_factors(deg):
+    # right_zeros cannot resolve these real classes (ROADMAP item 4);
+    # the verdict needs only their norms, all at least 1.2
+    for seed in range(20):
+        zeros = gen.spaced_real(gen.rng_for(seed, 550 + deg), deg, 1.2, 0.4)
+        a = QPoly([1.0])
+        for z in zeros:
+            a = pmul(a, QPoly([-z, 1.0]))
+        assert is_stable(a) is True, seed
+        assert is_stable(a, min(zeros) - 1.0 + 1e-6) is False, seed
+
+
 def test_scale_left_right_zero_preserved():
     rng = gen.rng_for(23)
     a = gen.rand_poly(rng, 2)

@@ -90,6 +90,10 @@ def _right_zeros_loop(a, tol=1e-9):
             raise IllConditioned(
                 f"candidate zero strays from class ({re:.6g}, {im:.6g}) "
                 f"by {miss:.3g}")
+    count = len(isolated) + 2 * len(spherical)
+    if count > a.degree():
+        raise IllConditioned(
+            f"{count} zeros found for a polynomial of degree {a.degree()}")
     return isolated, spherical, warnings
 
 

@@ -15,7 +15,7 @@ from .errors import (BothZero, DegenerateKernel, IllPosed,
                      NonCausalController, Unsolvable, ZeroRoot)
 from .quat import Quaternion, _coerce, ZERO_THRESHOLD
 from .qmat import spectral_radius_stable
-from .qpoly import (COEFF_TOL, QPoly, _invert, _sylvester_solve,
+from .qpoly import (COEFF_TOL, QPoly, _invert, _sylvester_solve, _wrap,
                     div_quotient_right, mul, right_to_left, scale_left,
                     scale_right, shift)
 from .xfer import (LeftFraction, RightFraction, _observer_form, _series,
@@ -340,7 +340,7 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     if p.is_zero() or p.at0().norm() <= tol * max(1.0, p.norm_inf()):
         raise NonCausalController("p(0) = 0: the controller is not causal")
     controller = RightFraction(q, p)
-    c_ach = QPoly((mul(a, p) + mul(b, q)).coeffs[:c.degree() + 1])
+    c_ach = _wrap((mul(a, p) + mul(b, q))._z[:c.degree() + 1])
     closed_loop = _series(_observer_form(*_unit_at0(c_ach, a)),
                           _observer_form(QPoly.one(), p))
     stable = spectral_radius_stable(closed_loop.F)

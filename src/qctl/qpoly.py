@@ -7,6 +7,17 @@ the real d, so one side of each mirrored pair is computed as the
 conjugate of the other.  Coefficients are stored ascending by power; index
 i holds the coefficient of d^i.
 
+Storage: a polynomial holds its coefficients once, as an (L, 2) complex
+array of pairs (q1, q2) with q = q1 + q2 j, q1 = w + x i, q2 = y + z i.
+Its float view is the (L, 4) array of components (w, x, y, z).  Since
+j c = conj(c) j for complex c, the side that conjugates is the right
+factor's: (a b)_1 = a_1 b_1 - a_2 conj(b_2) and
+(a b)_2 = a_1 b_2 + a_2 conj(b_1).  So multiplying by a scalar t on the
+right is complex linear, the row (x_1, x_2) times
+[[t_1, t_2], [-conj t_2, conj t_1]], and a product of polynomials is
+four convolutions.  Quaternion coefficients (``coeffs``, ``lead``,
+``at0``, ``coeff``) are built from the array on demand.
+
 Numerical conventions: comparisons against zero use a caller tolerance
 scaled by the infinity norm (largest coefficient norm) of the operands,
 default 1e-9.
@@ -19,11 +30,21 @@ import math
 import numpy as np
 
 from .errors import BothZero, EigensolverFailure, IllConditioned, ZeroDivisor
-from .quat import ZERO_THRESHOLD, Quaternion, SimilarityClass, _coerce
+from .quat import (ZERO_THRESHOLD, Quaternion, SimilarityClass, _coerce,
+                   left_mul_matrix, right_mul_matrix)
 
 COEFF_TOL = 1e-9
 
 NEG_INF = float("-inf")
+
+# component signs of the conjugate, and of conjugating q2 alone, on the
+# float view of a pair array
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJ_Q2 = np.array([1.0, 1.0, 1.0, -1.0])
+# the pair arrays of 1 and 0, shared read-only by every one() and zero()
+_ONE = np.array([[1.0, 0.0]], dtype=complex)
+_ONE.setflags(write=False)
+_ZERO = _ONE[:0]
 
 
 class QPoly:
@@ -33,21 +54,22 @@ class QPoly:
     tolerance-based trimming after floating-point arithmetic.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_z",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not any(cs[-1].components()):
-            cs.pop()
-        self.coeffs = tuple(cs)
+        comps = []
+        for c in coeffs:
+            comps += _coerce(c).components()
+        self._z = _wrap(np.array(comps, dtype=float).reshape(-1, 4)
+                        .view(complex))._z
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly()
+        return _wrap(_ZERO)
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly([Quaternion(1.0)])
+        return _wrap(_ONE)
 
     @staticmethod
     def constant(q) -> "QPoly":
@@ -55,34 +77,46 @@ class QPoly:
 
     @staticmethod
     def monomial(q, power: int) -> "QPoly":
-        return QPoly([Quaternion()] * power + [_coerce(q)])
+        return shift(QPoly([q]), power)
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Quaternions."""
+        return tuple(Quaternion(*c) for c in self._z.view(float).tolist())
 
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._z) - 1 if len(self._z) else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self._z)
 
     def at0(self) -> Quaternion:
-        return self.coeffs[0] if self.coeffs else Quaternion()
+        return self.coeff(0)
 
     def lead(self) -> Quaternion:
-        if not self.coeffs:
+        if not len(self._z):
             raise ZeroDivisor("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self._z) - 1)
 
     def coeff(self, i: int) -> Quaternion:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Quaternion()
+        if not 0 <= i < len(self._z):
+            return Quaternion()
+        u, v = self._z[i].tolist()
+        return Quaternion(u.real, u.imag, v.real, v.imag)
 
     def norm_inf(self) -> float:
-        return max((c.norm() for c in self.coeffs), default=0.0)
+        z = self._z
+        # for a few coefficients, Python floats beat numpy's call overhead
+        if len(z) > 8:
+            return float(_norm(z.view(float).T).max())
+        return max(map(_row_norm, z.tolist()), default=0.0)
 
     def conjugate(self) -> "QPoly":
         """Coefficientwise conjugate.  Since d is real, it reverses
         products, conj(a b) = conj(b) conj(a), so every right-side
         operation is the conjugate of its left-side mirror."""
-        return QPoly([c.conjugate() for c in self.coeffs])
+        return _wrap((self._z.view(float) * _CONJ).view(complex))
 
     def trim(self, tol: float, scale: float = None) -> "QPoly":
         """Drop trailing coefficients of norm <= tol * scale.
@@ -91,24 +125,26 @@ class QPoly:
         the norm of the originating operands when trimming arithmetic
         results.
         """
-        if scale is None:
-            scale = max(1.0, self.norm_inf())
-        cut = tol * scale
-        cs = list(self.coeffs)
-        while cs and cs[-1].norm() <= cut:
-            cs.pop()
-        return QPoly(cs)
+        cut = tol * (max(1.0, self.norm_inf()) if scale is None else scale)
+        n = len(self._z)
+        while n and _row_norm(self._z[n - 1].tolist()) <= cut:
+            n -= 1
+        return _wrap(self._z[:n])
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        both = _padded(self._z, other._z)
+        return _wrap(both[0] + both[1])
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        both = _padded(self._z, other._z)
+        return _wrap(both[0] - both[1])
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return _wrap(-self._z)
 
     def __mul__(self, other):
         if not isinstance(other, QPoly):
@@ -118,52 +154,84 @@ class QPoly:
     def __eq__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return np.array_equal(self._z, other._z)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "QPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            parts.append(f"({c.w:g},{c.x:g},{c.y:g},{c.z:g})d^{i}")
-        return "QPoly[" + " + ".join(parts) + "]"
+        parts = [f"({c.w:g},{c.x:g},{c.y:g},{c.z:g})d^{i}"
+                 for i, c in enumerate(self.coeffs)]
+        return "QPoly[" + " + ".join(parts) + "]" if parts else "QPoly(0)"
+
+
+def _wrap(z) -> QPoly:
+    """The QPoly holding the C-contiguous (L, 2) pair array z without its
+    trailing exact-zero rows.  z is not copied and must not be written
+    to afterwards."""
+    n = len(z)
+    while n and not any(z[n - 1].tolist()):
+        n -= 1
+    p = QPoly.__new__(QPoly)
+    p._z = z[:n]
+    return p
+
+
+def _row_norm(row) -> float:
+    """Norm of one coefficient given as the Python pair [q1, q2], summed
+    in the order of Quaternion.norm2."""
+    u, v = row
+    return math.sqrt(u.real * u.real + u.imag * u.imag
+                     + v.real * v.real + v.imag * v.imag)
+
+
+def _norm(v):
+    """Quaternion norms of components laid along the first axis, summed
+    in the order of Quaternion.norm2 so they match it bit for bit."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+
+
+def _padded(a, b):
+    """a and b stacked, the shorter padded by zero rows."""
+    out = np.zeros((2, max(len(a), len(b)), 2), dtype=complex)
+    out[0, :len(a)], out[1, :len(b)] = a, b
+    return out
 
 
 def mul(a: QPoly, b: QPoly) -> QPoly:
     """Product with coefficient products taken in left-right order:
-    (a b)_k = sum a_i b_j over i + j = k."""
+    (a b)_k = sum a_i b_j over i + j = k, as four convolutions of the
+    complex pairs."""
     if a.is_zero() or b.is_zero():
         return QPoly()
-    out = [Quaternion() for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + ai * bj
-    return QPoly(out)
+    a1, a2 = a._z[:, 0], a._z[:, 1]
+    b1, b2 = b._z[:, 0], b._z[:, 1]
+    out = np.empty((len(a1) + len(b1) - 1, 2), dtype=complex)
+    out[:, 0] = np.convolve(a1, b1) - np.convolve(a2, b2.conj())
+    out[:, 1] = np.convolve(a1, b2) + np.convolve(a2, b1.conj())
+    return _wrap(out)
 
 
 def scale_left(q, a: QPoly) -> QPoly:
     """q * a, the scalar multiplying every coefficient from the left."""
-    q = _coerce(q)
-    return QPoly([q * c for c in a.coeffs])
+    return _wrap((a._z.view(float) @ left_mul_matrix(q).T).view(complex))
 
 
 def scale_right(a: QPoly, q) -> QPoly:
     """a * q with the scalar on the right of every coefficient."""
-    q = _coerce(q)
-    return QPoly([c * q for c in a.coeffs])
+    return _wrap((a._z.view(float) @ right_mul_matrix(q).T).view(complex))
 
 
 def normalize(a: QPoly, tol: float = 0.0, scale: float = None) -> QPoly:
     """Trim near-zero trailing coefficients so the leading one is
     genuinely nonzero."""
-    return a.trim(tol, scale) if tol > 0 else QPoly(a.coeffs)
+    return a.trim(tol, scale) if tol > 0 else a
 
 
 def shift(a: QPoly, k: int) -> QPoly:
     """Multiply by d^k (k >= 0)."""
     if a.is_zero():
         return QPoly()
-    return QPoly([Quaternion()] * k + list(a.coeffs))
+    out = np.zeros((k + len(a._z), 2), dtype=complex)
+    out[k:] = a._z
+    return _wrap(out)
 
 
 def eval_right(a: QPoly, q) -> Quaternion:
@@ -196,25 +264,31 @@ def div_quotient_right(a: QPoly, b: QPoly):
     """Divide with the quotient on the right: a = b q + r, deg r < deg b.
 
     The top coefficient is eliminated by q_top = inverse(lead b) * lead a,
-    so common LEFT divisors of a and b also left-divide r.  Raises
-    ZeroDivisor when b = 0.
+    so common LEFT divisors of a and b also left-divide r.  Each quotient
+    coefficient is formed in complex scalars and taken off the remainder
+    by one slice update, b's lower coefficients times it on the right.
+    Raises ZeroDivisor when b = 0.
     """
     if b.is_zero():
         raise ZeroDivisor("division by the zero polynomial")
     if a.degree() < b.degree():
-        return QPoly(), QPoly(a.coeffs)
-    lead_inv = _invert(b.lead(), "leading coefficient of the divisor")
+        return QPoly(), a
+    inv = _invert(b.lead(), "leading coefficient of the divisor")
+    i1, i2 = complex(inv.w, inv.x), complex(inv.y, inv.z)
     db = b.degree()
-    rem = list(a.coeffs)
-    qcoeffs = [Quaternion() for _ in range(len(a.coeffs) - db)]
+    low = b._z[:db]
+    rem = a._z.copy()
+    quo = np.empty((len(rem) - db, 2), dtype=complex)
     for top in range(len(rem) - 1, db - 1, -1):
-        t = lead_inv * rem[top]
-        qcoeffs[top - db] = t
-        # subtract b * (t d^(top-db)); the top term cancels exactly
-        for i in range(db):
-            rem[top - db + i] = rem[top - db + i] - b.coeffs[i] * t
-        rem[top] = Quaternion()
-    return QPoly(qcoeffs), QPoly(rem[:db])
+        r1, r2 = rem[top].tolist()
+        t1 = i1 * r1 - i2 * r2.conjugate()
+        t2 = i1 * r2 + i2 * r1.conjugate()
+        quo[top - db] = t1, t2
+        # subtract b * (t d^(top-db)), each b_i t as the row b_i times
+        # t's matrix; the top term cancels exactly
+        rem[top - db:top] -= low @ np.array(
+            ((t1, t2), (-t2.conjugate(), t1.conjugate())))
+    return _wrap(quo), _wrap(rem[:db])
 
 
 def div_quotient_left(a: QPoly, b: QPoly):
@@ -260,22 +334,28 @@ def gcld(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
     final cofactor pair gives the kernel: a u + b v = 0 with (u, -v)
     right coprime.
     """
+    return _euclid(a, b, tol, True)
+
+
+def _euclid(a: QPoly, b: QPoly, tol: float, cofactors: bool):
+    """gcld's remainder chain, remainders trimmed relative to the
+    inputs.  With ``cofactors`` it returns gcld's BezoutData; without,
+    it skips the cofactor updates and returns the same monic g alone."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcld(0, 0) is undefined")
     scale = max(1.0, a.norm_inf(), b.norm_inf())
-    r0, r1 = QPoly(a.coeffs), QPoly(b.coeffs).trim(tol, scale)
-    p0, q0 = QPoly.one(), QPoly.zero()
-    p1, q1 = QPoly.zero(), QPoly.one()
+    r0, r1 = a, b.trim(tol, scale)
+    p0, q0, p1, q1 = QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one()
     while not r1.is_zero():
         quo, rem = div_quotient_right(r0, r1)
-        rem = rem.trim(tol, scale)
-        p0, p1 = p1, (p0 - p1 * quo)
-        q0, q1 = q1, (q0 - q1 * quo)
-        r0, r1 = r1, rem
+        if cofactors:
+            p0, q0, p1, q1 = p1, q1, p0 - mul(p1, quo), q0 - mul(q1, quo)
+        r0, r1 = r1, rem.trim(tol, scale)
     unit = _invert(r0.lead(), "leading coefficient of the gcld")
-    return BezoutData(scale_right(r0, unit),
-                      scale_right(p0, unit), scale_right(q0, unit),
-                      p1, q1, "left")
+    if not cofactors:
+        return scale_right(r0, unit)
+    return BezoutData(scale_right(r0, unit), scale_right(p0, unit),
+                      scale_right(q0, unit), p1, q1, "left")
 
 
 def gcrd(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
@@ -326,31 +406,6 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     return a_r.conjugate(), b_r.conjugate()
 
 
-def _components(a: QPoly) -> np.ndarray:
-    """Coefficients of a as an (L, 4) array of (w, x, y, z) rows."""
-    return np.array([c.components() for c in a.coeffs],
-                    dtype=float).reshape(-1, 4)
-
-
-def _norm(v):
-    """Quaternion norms of components laid along the first axis, summed
-    in the order of Quaternion.norm2 so they match it bit for bit."""
-    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
-
-
-def _pairs(a: QPoly):
-    """Coefficients of a as the complex pairs (q1, conj q2) of
-    q = q1 + q2 j, in which left multiplication by a coefficient is
-    complex linear."""
-    w = _components(a)
-    return w[:, 0] + 1j * w[:, 1], w[:, 2] - 1j * w[:, 3]
-
-
-def _from_pairs(q1, cq2) -> QPoly:
-    return QPoly([Quaternion(u.real, u.imag, v.real, -v.imag)
-                  for u, v in zip(q1, cq2)])
-
-
 def _sylvester_solve(blocks, rows: int, rhs):
     """Solve sum_i p_i x_i = r over skew polynomials, in least squares
     when there are more equations than unknowns.
@@ -383,18 +438,14 @@ def _sylvester_solve(blocks, rows: int, rhs):
     for p, n in blocks:
         if n == 0:
             continue
-        p1, cp2 = _pairs(p)
+        p1, p2 = p._z[:, 0], p._z[:, 1]
         # every column of a block holds each coefficient of p once
-        p_norm2 = np.abs(p1) ** 2 + np.abs(cp2) ** 2
+        p_norm2 = np.abs(p1) ** 2 + np.abs(p2) ** 2
         scale = 1.0 / math.sqrt(p_norm2.sum())
         row_norm2[:len(p1) + n - 1] += (np.convolve(p_norm2, np.ones(n))
                                         * scale ** 2)
-        blk = np.empty((2 * len(p1), 2), dtype=complex)
-        blk[0::2, 0] = p1
-        blk[0::2, 1] = -np.conj(cp2)
-        blk[1::2, 0] = cp2
-        blk[1::2, 1] = np.conj(p1)
-        blk *= scale
+        blk = scale * np.stack([p1, -p2, p2.conj(), p1.conj()],
+                               axis=1).reshape(-1, 2)
         for j in range(n):
             M[2 * j:2 * j + len(blk), col:col + 2] = blk
             col += 2
@@ -404,9 +455,7 @@ def _sylvester_solve(blocks, rows: int, rhs):
     M *= row_scale[:, None]
     R = np.zeros((2 * rows, len(rhs)), dtype=complex)
     for k, r in enumerate(rhs):
-        r1, cr2 = _pairs(r)
-        R[0:2 * len(r1):2, k] = r1
-        R[1:2 * len(r1):2, k] = cr2
+        R[:2 * len(r._z), k] = _flip_q2(r._z).ravel()
     R *= row_scale[:, None]
     square = rows == cols
     sv = np.linalg.svd(M, compute_uv=False) if square else None
@@ -419,16 +468,15 @@ def _sylvester_solve(blocks, rows: int, rhs):
     res = (M @ sol - R) / row_scale[:, None]
     resid = np.sqrt(np.abs(res[0::2]) ** 2
                     + np.abs(res[1::2]) ** 2).max(axis=0)
-    sol *= col_scale[:, None]
-    solutions = []
-    for k in range(len(rhs)):
-        xs, start = [], 0
-        for _, n in blocks:
-            s = sol[2 * start:2 * (start + n), k]
-            xs.append(_from_pairs(s[0::2], s[1::2]))
-            start += n
-        solutions.append(xs)
-    return solutions, sv, resid
+    sol = np.ascontiguousarray((sol * col_scale[:, None]).T)
+    bounds = np.cumsum([2 * n for _, n in blocks])[:-1]
+    return ([[_wrap(_flip_q2(x.reshape(-1, 2))) for x in np.split(s, bounds)]
+             for s in sol], sv, resid)
+
+
+def _flip_q2(z):
+    """The rows (q1, conj q2) of the pair rows (q1, q2) of z, and back."""
+    return (z.view(float) * _CONJ_Q2).view(complex)
 
 
 def _companion_coeffs(C) -> np.ndarray:
@@ -458,8 +506,9 @@ def companion_polynomial(a: QPoly) -> QPoly:
     """
     if a.is_zero():
         raise ZeroDivisor("companion of the zero polynomial")
-    return QPoly([Quaternion(v)
-                  for v in _companion_coeffs(_components(a)).tolist()])
+    out = np.zeros((2 * len(a._z) - 1, 2), dtype=complex)
+    out[:, 0] = _companion_coeffs(a._z.view(float))
+    return _wrap(out)
 
 
 class ZeroReport:
@@ -579,7 +628,7 @@ def _candidate_classes(a: QPoly, cluster_tol: float):
     the clustered classes (re, im) of the roots of conj(a) a.  An a with
     a coefficient norm outside [2^-511, 2^511], which would take conj(a)
     a out of the float range, is first scaled exactly by a power of two."""
-    C = _components(a)
+    C = a._z.view(float)
     with np.errstate(all="ignore"):
         norms = _norm(C.T)
         if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:

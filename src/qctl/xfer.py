@@ -15,9 +15,9 @@ from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import QuatMatrix, complex_adjoint, right_eigenvalues
-from .qpoly import (COEFF_TOL, QPoly, _invert, div_quotient_right, gcld,
-                    left_to_right, mul, right_to_left, right_zeros,
-                    scale_left)
+from .qpoly import (COEFF_TOL, QPoly, _euclid, _invert, _wrap,
+                    div_quotient_right, left_to_right, mul, right_to_left,
+                    right_zeros, scale_left)
 from .sim import _impulse_response
 
 
@@ -53,14 +53,15 @@ class StateSpace:
 
 def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
     """Trim den and num and divide out their greatest common left
-    divisor, leaving den^{-1} num unchanged."""
+    divisor, leaving den^{-1} num unchanged.  Only gcld's g is needed,
+    so the remainder chain runs without the Bezout cofactors."""
     if den.is_zero():
         raise ZeroDivisor("fraction denominator is zero")
     scale = max(1.0, den.norm_inf(), num.norm_inf())
     den = den.trim(tol, scale)
     num = num.trim(tol, scale)
     if not num.is_zero():
-        g = gcld(den, num, tol).g
+        g = _euclid(den, num, tol, False)
         if g.degree() >= 1:
             den, _ = div_quotient_right(den, g)
             num, _ = div_quotient_right(num, g)
@@ -195,10 +196,9 @@ def _annihilator(sys: StateSpace, tol: float):
     Q = np.linalg.qr(ctrb.conj().T)[0]
     x, _ = _first_dependence(Q.conj().T @ F @ Q,
                              complex_adjoint(sys.H) @ Q, tol)
-    a = QPoly([Quaternion(1.0)] + [Quaternion(u.real, u.imag, v.real, v.imag)
-                                   for u, v in zip(x[0::2], x[1::2])])
+    a = _wrap(np.vstack([[1.0, 0.0], x.reshape(-1, 2)]))
     b = mul(a, QPoly(markov(sys, sys.n + 1)))
-    return a, QPoly(b.coeffs[:a.degree() + 1])
+    return a, _wrap(b._z[:a.degree() + 1])
 
 
 def tf_left(sys: StateSpace, tol: float = 1e-7) -> LeftFraction:

@@ -63,3 +63,26 @@ def test_one_side_zero_divisible(seed):
         assert sol.g.degree() == 32
         X, Y = oracle.poly_pair(sol.x), oracle.poly_pair(sol.y)
         assert oracle.residual(A, A, C, X, Y) <= 1e-9
+
+
+@pytest.mark.parametrize("d,seed", [(d, s) for d in (16, 32, 64)
+                                    for s in range(1, 4)])
+def test_particular_coprime(d, seed):
+    # x = p c with a p + b q = 1 and deg p < deg x_step, so deg x stays
+    # below deg x_step + deg c
+    rng = gen.rng_for(1000 * d + seed)
+    a = gen.rand_poly(rng, d)
+    b = gen.rand_poly(rng, d - 1)
+    c = gen.rand_poly(rng, 2 * d - 1)
+    sol = solve_diophantine(a, b, c, mode="particular")
+    A, B, C = (oracle.poly_pair(p) for p in (a, b, c))
+    X, Y = oracle.poly_pair(sol.x), oracle.poly_pair(sol.y)
+    assert oracle.residual(A, B, C, X, Y) <= 1e-8
+    assert sol.g.degree() == 0
+    assert sol.x_step.degree() == b.degree()
+    assert sol.x.degree() < sol.x_step.degree() + c.degree()
+    kernel = oracle.polyadd(oracle.polymul(A, oracle.poly_pair(sol.x_step)),
+                            oracle.polymul(B, oracle.poly_pair(sol.y_step)))
+    assert oracle.coeff_norm_max(kernel) <= 1e-8 * max(
+        1.0, oracle.coeff_norm_max(oracle.polymul(
+            A, oracle.poly_pair(sol.x_step))))

@@ -10,6 +10,7 @@ from qctl import (ONE, ZERO, I, J, K, BothZero, QPoly, Quaternion,
                   right_zeros)
 from qctl.qpoly import normalize, scale_left, shift
 import gen
+import oracle
 
 
 def test_constructor_trims_exact_zero_tail():
@@ -282,3 +283,95 @@ def test_scale_left_right_zero_preserved():
     report2 = right_zeros(scaled)
     for (_, c1), (_, c2) in zip(report.isolated, report2.isolated):
         assert c1.matches(c2, 1e-7)
+
+
+# -- packed kernels against oracle.py's independent complex-pair arithmetic
+
+PACKED_DEGREES = [0, 1, 2, 8, 32, 64]
+
+
+def _rel_err(got, want, scale):
+    return oracle.coeff_norm_max(oracle.polysub(got, want)) / max(1.0, scale)
+
+
+@pytest.mark.parametrize("deg", PACKED_DEGREES)
+def test_mul_matches_oracle_product(deg):
+    rng = gen.rng_for(9800 + deg)
+    a, b = gen.rand_poly(rng, deg), gen.rand_poly(rng, deg // 2 + 1)
+    want = oracle.polymul(oracle.poly_pair(a), oracle.poly_pair(b))
+    got = pmul(a, b)
+    assert got.degree() == deg + deg // 2 + 1
+    assert _rel_err(oracle.poly_pair(got), want,
+                    oracle.coeff_norm_max(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("deg", PACKED_DEGREES)
+def test_division_identities_match_oracle(deg):
+    rng = gen.rng_for(9810 + deg)
+    a, b = gen.rand_poly(rng, deg), gen.rand_poly(rng, (deg + 1) // 2)
+    A, B = oracle.poly_pair(a), oracle.poly_pair(b)
+    q, r = div_quotient_right(a, b)
+    Q, R = oracle.poly_pair(q), oracle.poly_pair(r)
+    assert r.degree() < b.degree()
+    bq = oracle.polymul(B, Q)
+    scale = max(oracle.coeff_norm_max(A), oracle.coeff_norm_max(bq))
+    assert _rel_err(oracle.polyadd(bq, R), A, scale) <= 1e-13
+    q, r = div_quotient_left(a, b)
+    Q, R = oracle.poly_pair(q), oracle.poly_pair(r)
+    assert r.degree() < b.degree()
+    qb = oracle.polymul(Q, B)
+    scale = max(oracle.coeff_norm_max(A), oracle.coeff_norm_max(qb))
+    assert _rel_err(oracle.polyadd(qb, R), A, scale) <= 1e-13
+
+
+@pytest.mark.parametrize("deg", PACKED_DEGREES)
+def test_conjugate_reverses_products(deg):
+    rng = gen.rng_for(9820 + deg)
+    a, b = gen.rand_poly(rng, deg), gen.rand_poly(rng, deg)
+    lhs = oracle.poly_pair(pmul(a, b).conjugate())
+    rhs = oracle.poly_pair(pmul(b.conjugate(), a.conjugate()))
+    assert _rel_err(lhs, rhs, oracle.coeff_norm_max(rhs)) <= 1e-14
+
+
+@pytest.mark.parametrize("deg,common", [(8, 4), (12, 6)])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_gcld_bezout_residual_and_planted_degree(deg, common, seed):
+    rng = gen.rng_for(9830 + deg, seed)
+    g = gen.rand_poly(rng, common)
+    a = pmul(g, gen.rand_poly(rng, deg - common))
+    b = pmul(g, gen.rand_poly(rng, deg - common - 1))
+    data = gcld(a, b)
+    assert data.g.degree() == common
+    A, B = oracle.poly_pair(a), oracle.poly_pair(b)
+    ap = oracle.polymul(A, oracle.poly_pair(data.p))
+    bq = oracle.polymul(B, oracle.poly_pair(data.q))
+    scale = max(oracle.coeff_norm_max(ap), oracle.coeff_norm_max(bq))
+    assert _rel_err(oracle.polyadd(ap, bq), oracle.poly_pair(data.g),
+                    scale) <= 1e-9
+    au = oracle.polymul(A, oracle.poly_pair(data.u))
+    bv = oracle.polymul(B, oracle.poly_pair(data.v))
+    scale = max(oracle.coeff_norm_max(au), oracle.coeff_norm_max(bv))
+    assert oracle.coeff_norm_max(oracle.polyadd(au, bv)) <= 1e-9 * scale
+
+
+def test_coeffs_are_quaternions_equal_to_the_input():
+    cs = [Quaternion(1.0, -2.0, 0.5, 3.0), Quaternion(-0.0, 0.0, 1e-300),
+          Quaternion(2.0, 0.0, 0.0, -1e-170), Quaternion(-7.5)]
+    a = QPoly(cs + [ZERO, Quaternion(-0.0, 0.0, -0.0)])
+    assert all(isinstance(c, Quaternion) for c in a.coeffs)
+    assert a.coeffs == tuple(cs)
+    assert [a.coeff(i) for i in range(4)] == cs
+    assert a.at0() == cs[0] and a.lead() == cs[-1]
+    assert QPoly([1.0, 1e-160]).coeffs == (ONE, Quaternion(1e-160))
+    assert QPoly([0.0, 0.0]).coeffs == ()
+
+
+def test_add_and_sub_reject_non_polynomials():
+    a = QPoly([1.0, I])
+    for bad in (1, 1.0, Quaternion(1.0)):
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            bad + a

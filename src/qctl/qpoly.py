@@ -57,9 +57,7 @@ class QPoly:
     __slots__ = ("_z",)
 
     def __init__(self, coeffs=()):
-        comps = []
-        for c in coeffs:
-            comps += _coerce(c).components()
+        comps = [_coerce(c).components() for c in coeffs]
         self._z = _wrap(np.array(comps, dtype=float).reshape(-1, 4)
                         .view(complex))._z
 
@@ -106,11 +104,7 @@ class QPoly:
         return Quaternion(u.real, u.imag, v.real, v.imag)
 
     def norm_inf(self) -> float:
-        z = self._z
-        # for a few coefficients, Python floats beat numpy's call overhead
-        if len(z) > 8:
-            return float(_norm(z.view(float).T).max())
-        return max(map(_row_norm, z.tolist()), default=0.0)
+        return max(map(_row_norm, self._z.tolist()), default=0.0)
 
     def conjugate(self) -> "QPoly":
         """Coefficientwise conjugate.  Since d is real, it reverses
@@ -134,14 +128,18 @@ class QPoly:
     def __add__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        both = _padded(self._z, other._z)
-        return _wrap(both[0] + both[1])
+        out = np.zeros((max(len(self._z), len(other._z)), 2), dtype=complex)
+        out[:len(self._z)] = self._z
+        out[:len(other._z)] += other._z
+        return _wrap(out)
 
     def __sub__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        both = _padded(self._z, other._z)
-        return _wrap(both[0] - both[1])
+        out = np.zeros((max(len(self._z), len(other._z)), 2), dtype=complex)
+        out[:len(self._z)] = self._z
+        out[:len(other._z)] -= other._z
+        return _wrap(out)
 
     def __neg__(self):
         return _wrap(-self._z)
@@ -176,7 +174,9 @@ def _wrap(z) -> QPoly:
 
 def _row_norm(row) -> float:
     """Norm of one coefficient given as the Python pair [q1, q2], summed
-    in the order of Quaternion.norm2."""
+    in the order of Quaternion.norm2.  norm_inf and trim work in these
+    Python floats: most of their calls see a few coefficients, where one
+    numpy call costs more than the whole loop."""
     u, v = row
     return math.sqrt(u.real * u.real + u.imag * u.imag
                      + v.real * v.real + v.imag * v.imag)
@@ -186,13 +186,6 @@ def _norm(v):
     """Quaternion norms of components laid along the first axis, summed
     in the order of Quaternion.norm2 so they match it bit for bit."""
     return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
-
-
-def _padded(a, b):
-    """a and b stacked, the shorter padded by zero rows."""
-    out = np.zeros((2, max(len(a), len(b)), 2), dtype=complex)
-    out[0, :len(a)], out[1, :len(b)] = a, b
-    return out
 
 
 def mul(a: QPoly, b: QPoly) -> QPoly:
@@ -334,28 +327,29 @@ def gcld(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
     final cofactor pair gives the kernel: a u + b v = 0 with (u, -v)
     right coprime.
     """
-    return _euclid(a, b, tol, True)
+    g, unit, quotients = _euclid(a, b, tol)
+    p0, q0, p1, q1 = QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one()
+    for quo in quotients:
+        p0, q0, p1, q1 = p1, q1, p0 - mul(p1, quo), q0 - mul(q1, quo)
+    return BezoutData(g, scale_right(p0, unit), scale_right(q0, unit),
+                      p1, q1, "left")
 
 
-def _euclid(a: QPoly, b: QPoly, tol: float, cofactors: bool):
-    """gcld's remainder chain, remainders trimmed relative to the
-    inputs.  With ``cofactors`` it returns gcld's BezoutData; without,
-    it skips the cofactor updates and returns the same monic g alone."""
+def _euclid(a: QPoly, b: QPoly, tol: float):
+    """gcld's remainder chain, remainders trimmed relative to the inputs:
+    (g, unit, quotients), g = r unit the last nonzero remainder r made
+    monic by the right unit, and the chain's right quotients in order."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcld(0, 0) is undefined")
     scale = max(1.0, a.norm_inf(), b.norm_inf())
     r0, r1 = a, b.trim(tol, scale)
-    p0, q0, p1, q1 = QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one()
+    quotients = []
     while not r1.is_zero():
         quo, rem = div_quotient_right(r0, r1)
-        if cofactors:
-            p0, q0, p1, q1 = p1, q1, p0 - mul(p1, quo), q0 - mul(q1, quo)
+        quotients.append(quo)
         r0, r1 = r1, rem.trim(tol, scale)
     unit = _invert(r0.lead(), "leading coefficient of the gcld")
-    if not cofactors:
-        return scale_right(r0, unit)
-    return BezoutData(scale_right(r0, unit), scale_right(p0, unit),
-                      scale_right(q0, unit), p1, q1, "left")
+    return scale_right(r0, unit), unit, quotients
 
 
 def gcrd(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:

@@ -61,7 +61,7 @@ def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
     den = den.trim(tol, scale)
     num = num.trim(tol, scale)
     if not num.is_zero():
-        g = _euclid(den, num, tol, False)
+        g = _euclid(den, num, tol)[0]
         if g.degree() >= 1:
             den, _ = div_quotient_right(den, g)
             num, _ = div_quotient_right(num, g)

@@ -15,7 +15,8 @@ import sys
 
 from .errors import IllConditioned, ParseError, QctlError, SimulationDiverged
 from .quat import Quaternion
-from .qmat import QuatMatrix, right_eigenvalues, spectral_radius_stable
+from .qmat import (QuatMatrix, _wrap as _wrap_matrix, right_eigenvalues,
+                   spectral_radius_stable)
 from .qpoly import QPoly, is_stable, mul, right_zeros
 from .xfer import (LeftFraction, RightFraction, StateSpace,
                    as_left_fraction, tf_left, tf_right)
@@ -361,9 +362,8 @@ def _cmd_simulate(args, out):
     else:
         plant, ctrl = systems
         both = random_state(plant.n + ctrl.n, args.seed)
-        x0p = QuatMatrix([[both[i, 0]] for i in range(plant.n)], cols=1)
-        x0c = QuatMatrix([[both[plant.n + i, 0]] for i in range(ctrl.n)],
-                         cols=1)
+        x0p, x0c = _wrap_matrix(both._z[:plant.n]), _wrap_matrix(
+            both._z[plant.n:])
         ys = simulate_feedback(plant, ctrl, x0p, x0c, None, None,
                                args.steps)
     norms = [y.norm() for y in ys]

@@ -1,9 +1,11 @@
 """Quaternionic matrices, the complex-adjoint embedding, and right
 eigenvalues.
 
-A QuatMatrix is a dense row-major grid of Quaternion entries.  Products
-follow row-column order with the row entry multiplying the column entry
-from the left, matching x(k+1) = F x(k) + G u(k).
+A QuatMatrix stores its entries as QPoly stores its coefficients: one
+(r, c, 2) complex array of pairs (q1, q2), q = q1 + q2 j, from which
+``data`` and ``[i, j]`` build Quaternions on demand.  Products follow
+row-column order with the row entry multiplying the column entry from
+the left, matching x(k+1) = F x(k) + G u(k).
 
 ComplexMatrix values are plain numpy complex arrays; the adjoint of an
 n x m quaternionic matrix is 2n x 2m complex.
@@ -14,13 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, EigensolverFailure
-from .quat import Quaternion, SimilarityClass, right_mul_matrix, to_vec, from_vec, _coerce
+from .quat import Quaternion, SimilarityClass, _coerce
 
 
 class QuatMatrix:
     """Immutable dense matrix over H."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_z", "_data")
 
     def __init__(self, entries, cols=None):
         """Build from a sequence of rows of Quaternion (or real) entries.
@@ -28,7 +30,7 @@ class QuatMatrix:
         ``cols`` is only needed for matrices with zero rows, where the
         column count cannot be inferred.
         """
-        rows = [tuple(_coerce(e) for e in row) for row in entries]
+        rows = [[_coerce(e).components() for e in row] for row in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -36,31 +38,33 @@ class QuatMatrix:
             if cols is not None and cols != width:
                 raise DimensionMismatch("cols does not match row width")
             cols = width
-        elif cols is None:
-            cols = 0
-        self.rows = len(rows)
-        self.cols = cols
-        self.data = tuple(rows)
+        comps = np.array(rows, dtype=float).reshape(len(rows), cols or 0, 4)
+        _wrap(comps.view(complex), self)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QuatMatrix":
-        return QuatMatrix([[Quaternion() for _ in range(cols)] for _ in range(rows)],
-                          cols=cols)
+        return _wrap(np.zeros((rows, cols, 2), dtype=complex))
 
     @staticmethod
     def identity(n: int) -> "QuatMatrix":
-        return QuatMatrix([[Quaternion(1.0 if i == c else 0.0) for c in range(n)]
-                           for i in range(n)], cols=n)
+        return _wrap(np.eye(n, dtype=complex)[..., None] * [1.0, 0.0])
+
+    @property
+    def data(self):
+        """The entries as a tuple of rows of Quaternions, built once."""
+        if self._data is None:
+            self._data = tuple(tuple(Quaternion(*e) for e in row)
+                               for row in self._z.view(float).tolist())
+        return self._data
 
     def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
+        return Quaternion(*self._z[key].view(float).tolist())
 
     def __eq__(self, other):
         if not isinstance(other, QuatMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and np.array_equal(self._z, other._z))
 
     def __repr__(self):
         return f"QuatMatrix({self.rows}x{self.cols})"
@@ -69,26 +73,40 @@ class QuatMatrix:
         return max((e.norm() for row in self.data for e in row), default=0.0)
 
 
+def _wrap(z, m: QuatMatrix = None) -> QuatMatrix:
+    """The QuatMatrix (``m``, or a new one) holding the (r, c, 2) pair
+    array z, whose last axis must be contiguous.  z is not copied and
+    must not be written to afterwards; it is marked read-only."""
+    m = QuatMatrix.__new__(QuatMatrix) if m is None else m
+    m.rows, m.cols = z.shape[:2]
+    z.setflags(write=False)
+    m._z, m._data = z, None
+    return m
+
+
 def add(A: QuatMatrix, B: QuatMatrix) -> QuatMatrix:
     if A.rows != B.rows or A.cols != B.cols:
         raise DimensionMismatch(f"add {A.rows}x{A.cols} with {B.rows}x{B.cols}")
-    return QuatMatrix([[A[i, j] + B[i, j] for j in range(A.cols)]
-                       for i in range(A.rows)], cols=A.cols)
+    return _wrap(A._z + B._z)
 
 
 def matmul(A: QuatMatrix, B: QuatMatrix) -> QuatMatrix:
     if A.cols != B.rows:
         raise DimensionMismatch(f"matmul {A.rows}x{A.cols} with {B.rows}x{B.cols}")
-    out = []
-    for i in range(A.rows):
-        row = []
-        for j in range(B.cols):
-            acc = Quaternion()
-            for k in range(A.cols):
-                acc = acc + A[i, k] * B[k, j]
-            row.append(acc)
-        out.append(row)
-    return QuatMatrix(out, cols=B.cols)
+    return _wrap(_pair_matmul(A._z, B._z))
+
+
+def _pair_matmul(a, b) -> np.ndarray:
+    """The pair array of the product of the matrices with pair arrays a
+    (r x k) and b (k x c): each row of a, read as the pairs (a1, a2),
+    times the 2 x 2 blocks [[b1, b2], [-conj b2, conj b1]] of b."""
+    k, c = b.shape[:2]
+    m = np.empty((k, 2, c, 2), dtype=complex)
+    m[:, 0] = b
+    m[:, 1, :, 0] = -b[..., 1].conj()
+    m[:, 1, :, 1] = b[..., 0].conj()
+    r = len(a)
+    return (a.reshape(r, 2 * k) @ m.reshape(2 * k, 2 * c)).reshape(r, c, 2)
 
 
 def matvec(A: QuatMatrix, v: QuatMatrix) -> QuatMatrix:
@@ -97,26 +115,14 @@ def matvec(A: QuatMatrix, v: QuatMatrix) -> QuatMatrix:
     return matmul(A, v)
 
 
-def identity(n: int) -> QuatMatrix:
-    return QuatMatrix.identity(n)
+identity = QuatMatrix.identity
 
 
-def _components(rows, r: int, c: int) -> np.ndarray:
-    """The (r, c, 4) array of the (w, x, y, z) components of a grid of
-    Quaternion entries given as r rows of c entries."""
-    flat = [v for row in rows for q in row for v in (q.w, q.x, q.y, q.z)]
-    return np.array(flat, dtype=float).reshape(r, c, 4)
-
-
-def _adjoint(comps: np.ndarray) -> np.ndarray:
+def _adjoint(z: np.ndarray) -> np.ndarray:
     """Complex adjoint [[A1, A2], [-conj(A2), conj(A1)]] of the
-    quaternionic matrix with (r, c, 4) component array ``comps``.
-
-    Viewing (w, x, y, z) as two complex numbers gives A1 = w + x i and
-    A2 = y + z i exactly, with no per-entry work."""
-    r, c = comps.shape[:2]
-    pairs = np.ascontiguousarray(comps, dtype=float).view(complex)
-    a1, a2 = pairs[..., 0], pairs[..., 1]
+    quaternionic matrix with (r, c, 2) pair array ``z``."""
+    r, c = z.shape[:2]
+    a1, a2 = z[..., 0], z[..., 1]
     out = np.empty((2 * r, 2 * c), dtype=complex)
     out[:r, :c] = a1
     out[:r, c:] = a2
@@ -133,7 +139,7 @@ def complex_adjoint(A: QuatMatrix) -> np.ndarray:
     is a ring homomorphism, which is what makes right eigenvalues
     computable through it.
     """
-    return _adjoint(_components(A.data, A.rows, A.cols))
+    return _adjoint(A._z)
 
 
 class RightSpectrum:
@@ -208,25 +214,17 @@ def spectral_radius_stable(A: QuatMatrix, tol: float = 1e-9) -> bool:
 def solve_left_linear(coeff_rows, rhs):
     """Solve equations sum_i p_i s_{k,i} = rhs_k for the unknowns p_i.
 
-    Each unknown multiplies its known coefficient from the left, so each
-    quaternion equation expands into 4 real equations through
-    right-multiplication matrices.  Returns the minimum-norm least
-    squares solution as a list of Quaternion; residual checking is the
-    caller's job.
+    Each unknown multiplies its known coefficient s_{k,i} from the left:
+    the row p times S^T is rhs^T, so the first block row (p1, p2) of
+    adj(p) times adj(S^T) is (rhs1, rhs2), one complex linear system.
+    Returns the minimum-norm least squares solution as a list of
+    Quaternion; residual checking is the caller's job.
     """
-    m = len(coeff_rows[0]) if coeff_rows else 0
-    if any(len(row) != m for row in coeff_rows):
-        raise DimensionMismatch("ragged coefficient rows")
     if len(coeff_rows) != len(rhs):
         raise DimensionMismatch("rhs length does not match equation count")
-    if m == 0:
-        return []
-    K = len(coeff_rows)
-    A = np.zeros((4 * K, 4 * m))
-    b = np.zeros(4 * K)
-    for k, row in enumerate(coeff_rows):
-        for i, s in enumerate(row):
-            A[4 * k:4 * k + 4, 4 * i:4 * i + 4] = right_mul_matrix(s)
-        b[4 * k:4 * k + 4] = to_vec(rhs[k])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return [from_vec(sol[4 * i:4 * i + 4]) for i in range(m)]
+    s = QuatMatrix(coeff_rows)._z
+    r = QuatMatrix([[q] for q in rhs], cols=1)._z[:, 0]
+    m = s.shape[1]
+    x = np.linalg.lstsq(_adjoint(s.transpose(1, 0, 2)).T, r.T.ravel(),
+                        rcond=None)[0]
+    return list(_wrap(np.stack([x[:m], x[m:]], axis=-1)[None]).data[0])

@@ -7,6 +7,7 @@ to share between threads.  Components are 64-bit floats.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class Quaternion:
 def _coerce(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return Quaternion(value)
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
 

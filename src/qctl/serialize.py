@@ -35,8 +35,7 @@ def poly_to_doc(p: QPoly):
 
 
 def matrix_to_doc(m: QuatMatrix):
-    return [[quat_to_doc(m[i, j]) for j in range(m.cols)]
-            for i in range(m.rows)]
+    return m._z.view(float).tolist()
 
 
 def fraction_to_doc(f):

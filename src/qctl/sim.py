@@ -2,8 +2,8 @@
 
 Every simulation, and xfer.markov, runs on one propagation kernel over
 the complex adjoint (see qmat.complex_adjoint).  A system is packed
-once per call into the adjoint of its step matrix [[F, G], [H, J]],
-with rows and columns ordered block by block:
+once per call into the adjoint of its block pair array [[F, G], [H, J]]
+(see _blocks and qmat), with rows and columns regrouped block by block:
 
     [[adj F, adj G],
      [adj H, adj J]]
@@ -33,8 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, IllPosedLoop
-from .quat import Quaternion, _coerce
-from .qmat import QuatMatrix, _adjoint, _components
+from .quat import Quaternion
+from .qmat import QuatMatrix, _adjoint, _wrap, complex_adjoint
 
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -60,13 +60,13 @@ class Lcg:
 
 
 def random_state(n: int, seed: int) -> QuatMatrix:
-    """Seeded random n x 1 state with components uniform on [-1, 1)."""
+    """Seeded random n x 1 state with components uniform on [-1, 1).
+    Raises ValueError when ``n`` is negative."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     gen = Lcg(seed)
-    rows = []
-    for _ in range(n):
-        c = [gen.next_component() for _ in range(4)]
-        rows.append([Quaternion(c[0], c[1], c[2], c[3])])
-    return QuatMatrix(rows, cols=1) if n else QuatMatrix.zeros(0, 1)
+    comps = np.array([gen.next_component() for _ in range(4 * n)])
+    return _wrap(comps.reshape(n, 1, 4).view(complex))
 
 
 def _state_column(x, n: int) -> np.ndarray:
@@ -76,31 +76,39 @@ def _state_column(x, n: int) -> np.ndarray:
         [[v] for v in x] if n else [], cols=1)
     if col.rows != n or col.cols != 1:
         raise DimensionMismatch(f"state must be {n} x 1")
-    return _adjoint(_components(col.data, n, 1))[:, 0]
+    return _adjoint(col._z)[:, 0]
 
 
 def _input_columns(seq, steps: int) -> np.ndarray:
     """The adjoint columns (u1, -conj u2) of u(0..steps-1), one row per
     step; ``seq`` may be None (zero input) and is zero-extended past its
     end."""
-    head = [] if seq is None else [_coerce(q) for q in seq[:steps]]
-    comps = np.zeros((1, steps, 4))
-    comps[:, :len(head)] = _components([head], 1, len(head))
-    # column k of the adjoint's left half is the column of u(k)
-    return _adjoint(comps)[:, :steps].T
+    head = QuatMatrix([[] if seq is None else seq[:steps]])._z[0]
+    cols = np.zeros((steps, 2), dtype=complex)
+    cols[:len(head)] = head
+    cols[:, 1] = -cols[:, 1].conj()
+    return cols
+
+
+def _blocks(ss) -> np.ndarray:
+    """The (n + 1, n + 1, 2) pair array of [[F, G], [H, J]]."""
+    n = ss.n
+    z = np.empty((n + 1, n + 1, 2), dtype=complex)
+    z[:n, :n] = ss.F._z
+    z[:n, n:] = ss.G._z
+    z[n:, :n] = ss.H._z
+    z[n, n] = complex(ss.J.w, ss.J.x), complex(ss.J.y, ss.J.z)
+    return z
 
 
 def _step_matrix(ss) -> np.ndarray:
-    """[[adj F, adj G], [adj H, adj J]] of a system, from one component
-    array of [[F, G], [H, J]]."""
+    """[[adj F, adj G], [adj H, adj J]] of a system, from the adjoint of
+    its block pair array."""
     n = ss.n
-    rows = [f + g for f, g in zip(ss.F.data, ss.G.data)]
-    rows.append(ss.H.data[0] + (ss.J,))
-    full = _adjoint(_components(rows, n + 1, n + 1))
     # the adjoint lists the F, G rows and columns first and the H, J
     # ones last in each half; regroup the halves block by block
     order = np.r_[0:n, n + 1:2 * n + 1, n, 2 * n + 1]
-    return full[np.ix_(order, order)]
+    return _adjoint(_blocks(ss))[np.ix_(order, order)]
 
 
 def _propagate(step, x: np.ndarray, inputs: np.ndarray):
@@ -180,7 +188,7 @@ def _loop_matrix(plant, controller, gain_inv: Quaternion) -> np.ndarray:
     p, c = 2 * plant.n, 2 * controller.n
     Fp, Gp, Hp, Jp = sp[:p, :p], sp[:p, p:], sp[p:, :p], sp[p:, p:]
     Fc, Gc, Hc, Jc = sc[:c, :c], sc[:c, c:], sc[c:, :c], sc[c:, c:]
-    g = _adjoint(_components([[gain_inv]], 1, 1))
+    g = complex_adjoint(QuatMatrix([[gain_inv]]))
     gJp = g @ Jp
     y = np.hstack([g @ Hp, -gJp @ Hc, gJp, g])
     u = np.hstack([np.zeros((2, p)), -Hc, np.eye(2), np.zeros((2, 2))])

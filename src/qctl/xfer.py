@@ -14,11 +14,12 @@ import numpy as np
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
-from .qmat import QuatMatrix, complex_adjoint, right_eigenvalues
-from .qpoly import (COEFF_TOL, QPoly, _euclid, _invert, _wrap,
+from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
+                   complex_adjoint, right_eigenvalues)
+from .qpoly import (_CONJ, COEFF_TOL, QPoly, _euclid, _invert, _wrap,
                     div_quotient_right, left_to_right, mul, right_to_left,
-                    right_zeros, scale_left)
-from .sim import _impulse_response
+                    right_zeros, scale_left, scale_right)
+from .sim import _blocks, _impulse_response
 
 
 class StateSpace:
@@ -27,9 +28,8 @@ class StateSpace:
     __slots__ = ("F", "G", "H", "J")
 
     def __init__(self, F, G, H, J):
-        self.F = F if isinstance(F, QuatMatrix) else QuatMatrix(F)
-        self.G = G if isinstance(G, QuatMatrix) else QuatMatrix(G)
-        self.H = H if isinstance(H, QuatMatrix) else QuatMatrix(H)
+        self.F, self.G, self.H = (A if isinstance(A, QuatMatrix)
+                                  else QuatMatrix(A) for A in (F, G, H))
         if isinstance(J, QuatMatrix):
             if J.rows != 1 or J.cols != 1:
                 raise DimensionMismatch("J must be scalar")
@@ -138,28 +138,17 @@ def markov(sys: StateSpace, count: int):
 def series(frac, count: int):
     """First ``count`` coefficients of the fraction's power series.
 
-    Requires den(0) invertible (causality); raises NonCausal otherwise.
-    Left fractions solve den * S = num; a right fraction's series is the
-    conjugate of the left series of conj(den)^{-1} conj(num).
+    Raises NonCausal when |den(0)| <= ZERO_THRESHOLD max(1, |den|).  A
+    left fraction's series solves den * S = num: it is the impulse
+    response of the observer form.  A right fraction's is the conjugate
+    of the left series of conj(den)^{-1} conj(num), the response of the
+    dual of that form.
     """
-    if frac.kind == "left":
-        return _left_series(frac.den, frac.num, count)
-    return [s.conjugate() for s in
-            _left_series(frac.den.conjugate(), frac.num.conjugate(), count)]
-
-
-def _left_series(den: QPoly, num: QPoly, count: int):
-    d0 = den.at0()
-    if d0.norm() <= ZERO_THRESHOLD * max(1.0, den.norm_inf()):
-        raise NonCausal("den(0) is not invertible")
-    d0i = d0.inverse()
-    s = []
-    for k in range(count):
-        acc = num.coeff(k)
-        for i in range(1, min(k, den.degree()) + 1):
-            acc = acc - den.coeff(i) * s[k - i]
-        s.append(d0i * acc)
-    return s
+    den, num = frac.den, frac.num
+    if frac.kind == "right":
+        den, num = den.conjugate(), num.conjugate()
+    ss = _observer_form(*_unit_at0(den, num, max(1.0, den.norm_inf())))
+    return markov(ss if frac.kind == "left" else _dual(ss), count)
 
 
 def _first_dependence(A, rows, tol: float):
@@ -218,11 +207,16 @@ def tf_right(sys: StateSpace, tol: float = 1e-7) -> RightFraction:
 
 
 def _dual(sys: StateSpace) -> StateSpace:
-    """(F^H, H^H, G^H, conj J), whose Markov parameters are conj(S_k)."""
-    def ct(A):
-        return QuatMatrix([[A[i, j].conjugate() for i in range(A.rows)]
-                           for j in range(A.cols)], cols=A.rows)
-    return StateSpace(ct(sys.F), ct(sys.H), ct(sys.G), sys.J.conjugate())
+    """(F^H, H^H, G^H, conj J), whose Markov parameters are conj(S_k):
+    the conjugate transpose of the block pair array [[F, G], [H, J]]."""
+    z = _blocks(sys).transpose(1, 0, 2).view(float) * _CONJ
+    return _from_blocks(z.view(complex), sys.n)
+
+
+def _from_blocks(z, n: int) -> StateSpace:
+    """The system whose block pair array [[F, G], [H, J]] is z, uncopied."""
+    return StateSpace(_wrap_matrix(z[:n, :n]), _wrap_matrix(z[:n, n:]),
+                      _wrap_matrix(z[n:, :n]), _wrap_matrix(z[n:, n:]))
 
 
 def fraction_equal(f1, f2, tol: float = 1e-9) -> bool:
@@ -278,11 +272,13 @@ def _realize_left(den: QPoly, num: QPoly, tol: float) -> StateSpace:
     return _observer_form(den, num)
 
 
-def _unit_at0(den: QPoly, num: QPoly):
+def _unit_at0(den: QPoly, num: QPoly, scale: float = None):
     """(u den, u num) with u = den(0)^{-1}: the same left fraction with
-    den(0) = 1.  Raises NonCausal when den(0) vanishes."""
+    den(0) = 1.  Raises NonCausal when |den(0)| <= ZERO_THRESHOLD scale,
+    ``scale`` defaulting to max(1, |den|, |num|)."""
     d0 = den.at0()
-    if d0.norm() <= ZERO_THRESHOLD * max(1.0, den.norm_inf(), num.norm_inf()):
+    scale = scale or max(1.0, den.norm_inf(), num.norm_inf())
+    if d0.norm() <= ZERO_THRESHOLD * scale:
         raise NonCausal("den(0) = 0: the fraction has no causal series")
     if d0 == Quaternion(1.0):
         return den, num
@@ -303,17 +299,15 @@ def _observer_form(den: QPoly, num: QPoly) -> StateSpace:
     plus n - deg den classes at the origin.
     """
     n = max(den.degree(), num.degree(), 0)
+    z = np.zeros((n + 1, n + 1, 2), dtype=complex)
+    z[:den.degree(), 0] = -den._z[1:]
+    z[range(n - 1), range(1, n), 0] = 1.0
+    z[n, 0, 0] = 1.0  # H = e_1; at n = 0 the J entry below replaces it
     b0 = num.at0()
-    zero, one = Quaternion(), Quaternion(1.0)
-    F = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        F[j][0] = -den.coeff(j + 1)
-        if j + 1 < n:
-            F[j][j + 1] = one
-    G = [[num.coeff(j + 1) - den.coeff(j + 1) * b0] for j in range(n)]
-    H = [[one if j == 0 else zero for j in range(n)]]
-    return StateSpace(QuatMatrix(F, cols=n), QuatMatrix(G, cols=1),
-                      QuatMatrix(H, cols=n), b0)
+    g = (num - scale_right(den, b0))._z[1:]
+    z[:len(g), n] = g
+    z[n, n] = complex(b0.w, b0.x), complex(b0.y, b0.z)
+    return _from_blocks(z, n)
 
 
 def _series(s1: StateSpace, s2: StateSpace) -> StateSpace:
@@ -322,19 +316,18 @@ def _series(s1: StateSpace, s2: StateSpace) -> StateSpace:
 
         F = [[F1, 0], [G2 H1, F2]],  G = [G1; G2 J1],
         H = [J2 H1, H2],             J = J2 J1
+
+    the blocks of E2 E1, E1 and E2 the block pair arrays of s1 and s2
+    embedded in the identity on (x1, x2, u).
     """
-    n1, n2 = s1.n, s2.n
-    zero = Quaternion()
-    g2 = [s2.G[i, 0] for i in range(n2)]
-    h1 = [s1.H[0, j] for j in range(n1)]
-    F = ([list(s1.F.data[i]) + [zero] * n2 for i in range(n1)]
-         + [[g * h for h in h1] + list(s2.F.data[i])
-            for i, g in enumerate(g2)])
-    G = [[s1.G[i, 0]] for i in range(n1)] + [[g * s1.J] for g in g2]
-    H = [[s2.J * h for h in h1] + list(s2.H.data[0])]
-    return StateSpace(QuatMatrix(F, cols=n1 + n2),
-                      QuatMatrix(G, cols=1), QuatMatrix(H, cols=n1 + n2),
-                      s2.J * s1.J)
+    n1, n = s1.n, s1.n + s2.n
+    b1, b2 = _blocks(s1), _blocks(s2)
+    k1 = [*range(n1), n]
+    z = np.zeros((n + 1, n + 1, 2), dtype=complex)
+    z[:n1, k1] = b1[:n1]
+    z[n1:, n1:n] = b2[:, :-1]
+    z[n1:, k1] = _pair_matmul(b2[:, -1:], b1[-1:])
+    return _from_blocks(z, n)
 
 
 def inverse_class(cls: SimilarityClass) -> SimilarityClass:

@@ -70,7 +70,8 @@ class QuatMatrix:
         return f"QuatMatrix({self.rows}x{self.cols})"
 
     def entry_norm_max(self) -> float:
-        return max((e.norm() for row in self.data for e in row), default=0.0)
+        v = self._z.view(float)
+        return float(np.sqrt((v * v).sum(axis=-1)).max(initial=0.0))
 
 
 def _wrap(z, m: QuatMatrix = None) -> QuatMatrix:
@@ -216,15 +217,14 @@ def solve_left_linear(coeff_rows, rhs):
 
     Each unknown multiplies its known coefficient s_{k,i} from the left:
     the row p times S^T is rhs^T, so the first block row (p1, p2) of
-    adj(p) times adj(S^T) is (rhs1, rhs2), one complex linear system.
+    adj(p) times adj(S^T) is the first row (rhs1, rhs2) of adj(rhs^T),
+    one complex linear system.
     Returns the minimum-norm least squares solution as a list of
     Quaternion; residual checking is the caller's job.
     """
     if len(coeff_rows) != len(rhs):
         raise DimensionMismatch("rhs length does not match equation count")
     s = QuatMatrix(coeff_rows)._z
-    r = QuatMatrix([[q] for q in rhs], cols=1)._z[:, 0]
-    m = s.shape[1]
-    x = np.linalg.lstsq(_adjoint(s.transpose(1, 0, 2)).T, r.T.ravel(),
-                        rcond=None)[0]
-    return list(_wrap(np.stack([x[:m], x[m:]], axis=-1)[None]).data[0])
+    r = _adjoint(QuatMatrix([list(rhs)])._z)[0]
+    x = np.linalg.lstsq(_adjoint(s.transpose(1, 0, 2)).T, r, rcond=None)[0]
+    return list(_wrap(np.stack(np.split(x, 2), axis=-1)[None]).data[0])

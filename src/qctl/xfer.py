@@ -28,8 +28,9 @@ class StateSpace:
     __slots__ = ("F", "G", "H", "J")
 
     def __init__(self, F, G, H, J):
-        self.F, self.G, self.H = (A if isinstance(A, QuatMatrix)
-                                  else QuatMatrix(A) for A in (F, G, H))
+        self.F = F if isinstance(F, QuatMatrix) else QuatMatrix(F)
+        self.G = G if isinstance(G, QuatMatrix) else QuatMatrix(G)
+        self.H = H if isinstance(H, QuatMatrix) else QuatMatrix(H)
         if isinstance(J, QuatMatrix):
             if J.rows != 1 or J.cols != 1:
                 raise DimensionMismatch("J must be scalar")
@@ -264,12 +265,11 @@ def _realize_left(den: QPoly, num: QPoly, tol: float) -> StateSpace:
     """realize for the left fraction den^{-1} num, given as polynomials
     that need not be reduced or normalized."""
     den, num = _unit_at0(den, num)
-    b0 = num.at0()
-    btilde = (num - mul(den, QPoly.constant(b0))).trim(
-        tol, max(1.0, den.norm_inf(), num.norm_inf()))
-    if btilde.is_zero():
-        den, num = QPoly.one(), QPoly.constant(b0)
-    return _observer_form(den, num)
+    ss = _observer_form(den, num)
+    # G ~ 0: the fraction equals its direct term J and needs no states
+    if ss.G.entry_norm_max() <= tol * max(1.0, den.norm_inf(), num.norm_inf()):
+        return _observer_form(QPoly.one(), QPoly.constant(ss.J))
+    return ss
 
 
 def _unit_at0(den: QPoly, num: QPoly, scale: float = None):

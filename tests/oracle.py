@@ -10,7 +10,8 @@ for complex c, the Cayley-Dickson product is
 and polynomial products are the same formula with np.convolve.  The
 dense solve assembles the real matrix of (x, y) -> a x + b y column by
 column, one column per unknown real component, and calls
-np.linalg.solve.  The simulators step x(k+1) = F x(k) + G u(k),
+np.linalg.solve.  Series terms solve den S = num (or S den = num) one
+term at a time.  The simulators step x(k+1) = F x(k) + G u(k),
 y(k) = H x(k) + J u(k) one entry product at a time.  Right-eigenvalue
 classes come from numpy's eigenvalues of the complex adjoint built here.
 qctl polynomials, matrices and quaternions are read only through their
@@ -184,6 +185,13 @@ def matvec(A, x):
     return a.sum(axis=1), b.sum(axis=1)
 
 
+def matmul(A, B):
+    """A B for matrix pairs, entry products summed over the inner index."""
+    a, b = mul((A[0][:, :, None], A[1][:, :, None]),
+               (B[0][None, :, :], B[1][None, :, :]))
+    return a.sum(axis=1), b.sum(axis=1)
+
+
 def _entry(v):
     return v[0][0], v[1][0]
 
@@ -238,6 +246,24 @@ def markov(system, count):
         out.append(_entry(matvec(H, col)))
         col = matvec(F, col)
     return out[:count]
+
+
+def series(den, num, count, side="left"):
+    """First ``count`` terms S_k of the series with den S = num (left)
+    or S den = num (right), by the recursion
+    S_k = den_0^-1 (num_k - sum_{i=1..k} den_i S_(k-i)) or its mirror
+    (num_k - sum_{i=1..k} S_(k-i) den_i) den_0^-1."""
+    def times(p, q):
+        return mul(p, q) if side == "left" else mul(q, p)
+
+    d0i = inv((den[0][0], den[1][0]))
+    out = []
+    for k in range(count):
+        acc = (num[0][k], num[1][k]) if k < len(num[0]) else (0j, 0j)
+        for i in range(1, min(k, len(den[0]) - 1) + 1):
+            acc = add(acc, times((den[0][i], den[1][i]), out[k - i]), -1.0)
+        out.append(times(d0i, acc))
+    return out
 
 
 def seq_rel_err(got, want):

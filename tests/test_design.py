@@ -1,6 +1,7 @@
 import importlib
 import warnings
 
+import numpy as np
 import pytest
 
 from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllConditioned,
@@ -127,6 +128,13 @@ def test_place_poles_reference_design():
     assert (res.t_v.den - res.t_w.den).norm_inf() <= 1e-12
     ident = pmul(res.plant.den, res.p) + pmul(res.plant.num, res.q) - res.c
     assert ident.norm_inf() <= 1e-8
+
+
+def test_place_poles_accepts_numpy_integer_targets():
+    want = place_poles(PLANT, [3, 4])
+    got = place_poles(PLANT, np.array([3, 4]))
+    assert got.p == want.p and got.q == want.q
+    assert got.stable is want.stable is True
 
 
 def test_right_zeros_never_reports_more_zeros_than_the_degree():

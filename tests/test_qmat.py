@@ -7,6 +7,7 @@ from qctl import (ONE, ZERO, I, J, K, DimensionMismatch, Quaternion,
                   spectral_radius_stable)
 from qctl.qmat import identity
 import gen
+import oracle
 
 
 def test_shape_validation():
@@ -46,8 +47,8 @@ def test_zero_dimension_matrices():
 
 def test_complex_adjoint_is_homomorphism():
     rng = gen.rng_for(12)
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
+    for trial in range(41):
+        n = 16 if trial == 40 else int(rng.integers(1, 5))
         A = gen.rand_matrix(rng, n, n)
         B = gen.rand_matrix(rng, n, n)
         lhs = complex_adjoint(matmul(A, B))
@@ -57,6 +58,61 @@ def test_complex_adjoint_is_homomorphism():
         lhs = complex_adjoint(mat_add(A, B))
         rhs = complex_adjoint(A) + complex_adjoint(B)
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def _matrix(rng, rows, cols):
+    """A random rows x cols matrix; the column count is kept when there
+    are no rows."""
+    return QuatMatrix([[gen.rand_quat(rng) for _ in range(cols)]
+                       for _ in range(rows)], cols=cols)
+
+
+def _oracle_err(got, want, scale):
+    a, b = oracle.matrix_pair(got)
+    assert a.shape == want[0].shape
+    if not a.size:
+        return 0.0
+    return float(np.max(np.sqrt(np.abs(a - want[0]) ** 2
+                                + np.abs(b - want[1]) ** 2))) / scale
+
+
+@pytest.mark.parametrize("r, k, c", [(0, 3, 2), (3, 0, 2), (1, 1, 1),
+                                     (3, 5, 2), (16, 16, 16)])
+def test_packed_kernels_match_oracle(r, k, c):
+    rng = gen.rng_for(16, 100 * r + 10 * k + c)
+    A, B, A2 = _matrix(rng, r, k), _matrix(rng, k, c), _matrix(rng, r, k)
+    P, Q, P2 = (oracle.matrix_pair(m) for m in (A, B, A2))
+    # each entry of A B sums k products of entries of norm at most 2
+    scale = max(1.0, 4.0 * k)
+    prod = matmul(A, B)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert _oracle_err(prod, oracle.matmul(P, Q), scale) <= 1e-15
+    assert _oracle_err(mat_add(A, A2), oracle.add(P, P2), 1.0) == 0.0
+    v = _matrix(rng, k, 1)
+    vp = oracle.matrix_pair(v)
+    want = oracle.matvec(P, (vp[0][:, 0], vp[1][:, 0]))
+    assert _oracle_err(matvec(A, v), (want[0][:, None], want[1][:, None]),
+                       scale) <= 1e-15
+
+
+def test_entries_round_trip_bit_for_bit():
+    vals = (0.0, -0.0, 1.5, -2.25, 1e-300, -7.0e12, 0.1)
+    rows = [[Quaternion(*(vals[(3 * i + 5 * j + t) % len(vals)]
+                          for t in range(4))) for j in range(3)]
+            for i in range(2)]
+    A = QuatMatrix(rows)
+
+    def bits(q):
+        return np.array(q.components()).view(np.uint64).tolist()
+
+    for i in range(2):
+        for j in range(3):
+            assert bits(A.data[i][j]) == bits(rows[i][j])
+            assert bits(A[i, j]) == bits(rows[i][j])
+    assert A == QuatMatrix(rows) and A == QuatMatrix(A.data)
+    assert A != QuatMatrix([[Quaternion(0.5)] * 3] * 2)
+    # -0.0 equals 0.0, as it does entrywise for Quaternion
+    assert QuatMatrix([[Quaternion(-0.0)]]) == QuatMatrix([[ZERO]])
 
 
 def test_adjoint_block_structure():

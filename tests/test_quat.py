@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qctl import (ONE, ZERO, I, J, K, Quaternion, SimilarityClass,
-                  class_of, conjugate, left_mul_matrix, qmul,
+from qctl import (ONE, ZERO, I, J, K, QPoly, Quaternion, QuatMatrix,
+                  SimilarityClass, class_of, conjugate, left_mul_matrix, qmul,
                   right_mul_matrix, similar)
-from qctl.quat import from_vec, to_vec
+from qctl.quat import _coerce, from_vec, to_vec
 import gen
 
 
@@ -106,6 +106,16 @@ def test_mul_matrices_agree_with_products():
                            atol=1e-12)
         assert np.allclose(right_mul_matrix(q) @ to_vec(p), want,
                            atol=1e-12)
+
+
+def test_numpy_real_scalars_coerce():
+    # numpy integers and float32 are not Python int or float subclasses
+    for v in (np.int64(3), np.int32(3), np.float32(3.0), np.uint8(3)):
+        assert _coerce(v) == Quaternion(3.0)
+    assert QPoly([np.int64(1), 2]) == QPoly([1.0, 2.0])
+    assert QuatMatrix([[np.float32(1.0)]]) == QuatMatrix([[ONE]])
+    with pytest.raises(TypeError):
+        _coerce(1j)
 
 
 def test_vec_round_trip():

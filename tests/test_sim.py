@@ -46,6 +46,13 @@ def test_random_state_layout():
     assert x == again
 
 
+def test_random_state_rejects_negative_size():
+    with pytest.raises(ValueError):
+        random_state(-1, 11)
+    empty = random_state(0, 11)
+    assert (empty.rows, empty.cols) == (0, 1)
+
+
 def test_simulate_zero_everything():
     ys = simulate(PLANT, QuatMatrix.zeros(2, 1), None, 5)
     assert ys == [ZERO] * 5

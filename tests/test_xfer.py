@@ -1,12 +1,17 @@
+from types import SimpleNamespace
+
 import pytest
 
 from qctl import (ONE, ZERO, I, J, K, DimensionMismatch, LeftFraction,
                   NonCausal, QPoly, Quaternion, QuatMatrix, RightFraction,
                   SimilarityClass, StateSpace, ZeroDivisor,
                   denominator_classes_agree, fraction_equal, inverse_class,
-                  markov, pmul, pole_classes, realize, scale_right, series,
+                  markov, pmul, pole_classes, realize, scale_left,
+                  scale_right, series,
                   spectrum_matches_poles, tf_left, tf_right)
+from qctl.xfer import _dual
 import gen
+import oracle
 
 PLANT = StateSpace(QuatMatrix([[ONE, I], [J, K]]),
                    QuatMatrix([[I], [ZERO]]),
@@ -219,3 +224,54 @@ def test_pole_classes_and_inverse_class():
 def test_markov_series_lengths_and_validation():
     assert markov(PLANT, 0) == []
     assert series(tf_left(PLANT), 0) == []
+
+
+@pytest.mark.parametrize("deg", [1, 4, 9, 16])
+def test_series_matches_oracle_recursion(deg):
+    """series against the oracle's own recursion of den S = num (left)
+    and S den = num (right), with den(0) != 1 and deg num > deg den.  The
+    fractions are plain (kind, den, num) records, because the
+    constructors would scale a left den(0) to 1 and cancel factors.
+
+    The denominators have generic coefficients.  A product of 16 stable
+    linear factors has coefficients up to 1e4 times its series terms:
+    there the oracle's recursion itself sits 7e-12 from the series in
+    50-digit arithmetic, so two double-precision methods cannot agree
+    to 1e-12."""
+    rng = gen.rng_for(33, deg)
+    for _ in range(3):
+        unit = gen.rand_nonzero_quat(rng)
+        den = gen.rand_causal_poly(rng, deg)
+        num = gen.rand_poly(rng, deg + int(rng.integers(1, 4)))
+        count = 3 * deg + 6
+        for kind, d in (("left", scale_left(unit, den)),
+                        ("right", scale_right(den, unit))):
+            assert (d.at0() - ONE).norm() > 1e-3
+            frac = SimpleNamespace(kind=kind, den=d, num=num)
+            want = oracle.series(oracle.poly_pair(d), oracle.poly_pair(num),
+                                 count, kind)
+            assert oracle.seq_rel_err(series(frac, count), want) <= 1e-12
+
+
+def test_series_noncausal_threshold_reads_den_only():
+    # |den(0)| = 1e-13 <= 1e-12 max(1, |den|): no causal series
+    den = QPoly([Quaternion(0.0, 1e-13), ONE])
+    num = QPoly([ONE, I])
+    lf, rf = LeftFraction(den, num), RightFraction(num, den)
+    for frac in (lf, rf):
+        assert abs(frac.den.at0().norm() - 1e-13) <= 1e-28
+        with pytest.raises(NonCausal):
+            series(frac, 4)
+    # |den(0)| = 2e-12 passes, however large num is
+    den = QPoly([Quaternion(0.0, 2e-12), ONE])
+    for kind in ("left", "right"):
+        frac = SimpleNamespace(kind=kind, den=den, num=QPoly([1e3, 1e3]))
+        assert len(series(frac, 4)) == 4
+
+
+def test_dual_markov_is_conjugate_at_n16():
+    ss = gen.rand_system(gen.rng_for(34), 16, radius=0.9)
+    want = [s.conjugate() for s in markov(ss, 40)]
+    got = markov(_dual(ss), 40)
+    scale = max(1.0, max(s.norm() for s in want))
+    assert max((u - v).norm() for u, v in zip(got, want)) <= 1e-12 * scale

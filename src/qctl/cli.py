@@ -362,8 +362,8 @@ def _cmd_simulate(args, out):
     else:
         plant, ctrl = systems
         both = random_state(plant.n + ctrl.n, args.seed)
-        x0p, x0c = _wrap_matrix(both._z[:plant.n]), _wrap_matrix(
-            both._z[plant.n:])
+        x0p = _wrap_matrix(both._z[:plant.n])
+        x0c = _wrap_matrix(both._z[plant.n:])
         ys = simulate_feedback(plant, ctrl, x0p, x0c, None, None,
                                args.steps)
     norms = [y.norm() for y in ys]

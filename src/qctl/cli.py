@@ -144,6 +144,11 @@ def parse_roots(text: str):
     return roots
 
 
+def _tol(args):
+    """--tol as a keyword when given, so each call keeps its own default."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
 def _load_system(path: str) -> StateSpace:
     doc = load_document(path)
     if isinstance(doc, StateSpace):
@@ -166,7 +171,7 @@ def _load_poly(path: str) -> QPoly:
 
 def _cmd_eig(args, out):
     sys_ = _load_system(args.system)
-    spectrum = right_eigenvalues(sys_.F, args.tol)
+    spectrum = right_eigenvalues(sys_.F, **_tol(args))
     out.write(f"right eigenvalue classes ({len(spectrum)}):\n")
     for idx, cls in enumerate(spectrum, 1):
         out.write(f"  {idx}: {fmt_class(cls, args.digits)}\n")
@@ -178,14 +183,14 @@ def _cmd_eig(args, out):
 
 def _cmd_tf(args, out):
     sys_ = _load_system(args.system)
-    _print_fraction(tf_left(sys_, args.tol), args.digits, out)
-    _print_fraction(tf_right(sys_, args.tol), args.digits, out)
+    _print_fraction(tf_left(sys_, **_tol(args)), args.digits, out)
+    _print_fraction(tf_right(sys_, **_tol(args)), args.digits, out)
     return 0
 
 
 def _cmd_zeros(args, out):
     poly = _load_poly(args.poly)
-    report = right_zeros(poly, args.tol)
+    report = right_zeros(poly, **_tol(args))
     out.write(f"isolated zeros ({len(report.isolated)}):\n")
     for idx, (z, cls) in enumerate(report.isolated, 1):
         out.write(f"  {idx}: {fmt_quat(z, args.digits)}  "
@@ -202,12 +207,12 @@ def _cmd_stable(args, out):
     if bool(args.poly) == bool(args.system):
         raise _UsageError("stable: give exactly one of --poly/--system")
     if args.poly:
-        verdict = is_stable(_load_poly(args.poly), args.tol)
+        verdict = is_stable(_load_poly(args.poly), **_tol(args))
         reason = "all zeros outside the unit circle" if verdict \
             else "a zero lies on or inside the unit circle"
     else:
         verdict = spectral_radius_stable(_load_system(args.system).F,
-                                         args.tol)
+                                         **_tol(args))
         reason = "right spectrum inside the unit circle" if verdict \
             else "a right-eigenvalue class reaches the unit circle"
     out.write(f"stable: {'yes' if verdict else 'no'} ({reason})\n")
@@ -232,9 +237,9 @@ def _cmd_solve(args, out):
                 "solve: give three --poly files (a, b, c) or --plant + c")
         a, b, c = polys
     try:
-        sol = solve_diophantine(a, b, c, mode="minimal_x", tol=args.tol)
+        sol = solve_diophantine(a, b, c, mode="minimal_x", **_tol(args))
     except DegenerateKernel:
-        sol = solve_diophantine(a, b, c, mode="particular", tol=args.tol)
+        sol = solve_diophantine(a, b, c, mode="particular", **_tol(args))
     resid = (mul(a, sol.x) + mul(b, sol.y) - c).norm_inf()
     out.write(f"mode: {sol.mode}\n")
     out.write(f"gcld: {fmt_poly(sol.g, args.digits)}\n")
@@ -253,7 +258,7 @@ def _cmd_design(args, out):
         raise _UsageError("design: give exactly one of --roots/--poly")
     targets = (parse_roots(args.roots) if args.roots
                else _load_poly(args.poly[0]))
-    result = place_poles(doc, targets, args.tol)
+    result = place_poles(doc, targets, **_tol(args))
     out.write("plant ")
     _print_fraction(result.plant, args.digits, out)
     out.write(f"target c: {fmt_poly(result.c, args.digits)}\n")
@@ -261,7 +266,7 @@ def _cmd_design(args, out):
     out.write(f"controller q: {fmt_poly(result.q, args.digits)}\n")
     out.write("closed-loop denominator zeros:\n")
     try:
-        report = right_zeros(result.t_w.den, args.tol)
+        report = right_zeros(result.t_w.den, **_tol(args))
     except IllConditioned as exc:
         # the listing only illustrates a design that place_poles has
         # already checked, so it must not turn that design into a failure
@@ -409,8 +414,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("zeros", help="right zeros of a polynomial")
     p.add_argument("--poly", required=True, metavar="PATH")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--digits", type=int, default=5)
+    common(p)
 
     p = sub.add_parser("stable", help="stability verdict")
     p.add_argument("--poly", metavar="PATH")
@@ -447,11 +451,6 @@ _DISPATCH = {
     "simulate": _cmd_simulate,
 }
 
-_DEFAULT_TOL = {
-    "eig": 1e-9, "tf": 1e-7, "zeros": 1e-9, "stable": 1e-9,
-    "solve": 1e-9, "design": 1e-9,
-}
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -462,11 +461,8 @@ def main(argv=None) -> int:
             return 1
         if hasattr(args, "digits") and args.digits < 1:
             raise _UsageError("--digits must be >= 1")
-        if hasattr(args, "tol"):
-            if args.tol is None:
-                args.tol = _DEFAULT_TOL[args.command]
-            elif args.tol <= 0:
-                raise _UsageError("--tol must be positive")
+        if getattr(args, "tol", None) is not None and args.tol <= 0:
+            raise _UsageError("--tol must be positive")
         return _DISPATCH[args.command](args, sys.stdout)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

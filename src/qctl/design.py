@@ -12,12 +12,12 @@ from __future__ import annotations
 import warnings as _warnings
 
 from .errors import (BothZero, DegenerateKernel, IllPosed,
-                     NonCausalController, Unsolvable, ZeroRoot)
+                     NonCausalController, ZeroRoot)
 from .quat import Quaternion, _coerce, ZERO_THRESHOLD
 from .qmat import spectral_radius_stable
-from .qpoly import (COEFF_TOL, QPoly, _invert, _sylvester_solve, _wrap,
-                    div_quotient_right, mul, right_to_left, scale_left,
-                    scale_right, shift)
+from .qpoly import (COEFF_TOL, QPoly, _invert, _left_gcd, _left_quotient,
+                    _sylvester_solve, _wrap, mul, right_to_left, scale_left,
+                    scale_right)
 from .xfer import (LeftFraction, RightFraction, _observer_form, _series,
                    _unit_at0, as_left_fraction)
 
@@ -116,92 +116,23 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
         else:
             x, y, x_step, y_step = quo, QPoly(), QPoly(), QPoly.one()
     else:
-        swap = mode == "minimal_y"
+        swap, particular = mode == "minimal_y", mode == "particular"
         f, s = (b, a) if swap else (a, b)
-        x, y, g, x_step, y_step = _solve_minimal_first(
-            f, s, c, mode == "particular", tol, scale)
+        k, g, (x_step, y_step), [(x, y)] = _left_gcd(
+            f, s, tol, [QPoly.one() if particular else c], c.degree())
+        ctilde = _left_quotient(g, c, tol, scale) if k else c
+        if particular and k:
+            m = s.degree()
+            rows = max(c.degree(), f.degree() + m - k) + 1
+            [[x, y]], _, _ = _sylvester_solve(
+                [(f, m - k), (s, rows - m)], rows, [g])
+        if particular:
+            x, y = mul(x, ctilde), mul(y, ctilde)
         if swap:
             x, y, x_step, y_step = y, x, y_step, x_step
     xy_scale = max(scale, x.norm_inf(), y.norm_inf())
     return DiophantineSolution(x.trim(tol, xy_scale), y.trim(tol, xy_scale),
                                g, x_step, y_step, mode)
-
-
-def _solve_minimal_first(f, s, c, particular, tol, scale):
-    """f x + s y = c for nonzero f, s: the solution with deg x below the
-    kernel degree (or the Bezout cofactors times g^{-1} c when
-    ``particular``), then g and the kernel pair with x_step monic."""
-    n, m = f.degree(), s.degree()
-    top = max(c.degree(), n + m)
-    rhs = QPoly.one() if particular else c
-    sols, sv, _ = _sylvester_solve([(f, m), (s, top + 1 - m)], top + 1,
-                                   [rhs, -shift(f, m)])
-    k = min(int((sv <= tol * sv[0]).sum()) // 2, n, m)
-    if k == 0:
-        (x, y), (x_low, y_step) = sols
-        x_step, y_step = x_low + QPoly.monomial(1.0, m), y_step.trim(tol)
-        if particular:
-            x, y = mul(x, c), mul(y, c)
-        return x, y, QPoly.one(), x_step, y_step
-    top = max(c.degree(), n + m - k)
-    blocks = [(f, m - k), (s, top + 1 - m)]
-    ((x, y), (x_low, y_step)), _, _ = _sylvester_solve(
-        blocks, top + 1, [c, -shift(f, m - k)])
-    x_step, y_step = x_low + QPoly.monomial(1.0, m - k), y_step.trim(tol)
-    g = _common_left_factor(f, s, x_step, y_step, k)
-    ctilde = _left_quotient(g, c, tol, scale)
-    if particular:
-        [[p, q]], _, _ = _sylvester_solve(blocks, top + 1, [g])
-        x, y = mul(p, ctilde), mul(q, ctilde)
-    return x, y, g, x_step, y_step
-
-
-def _left_quotient(g, c, tol, scale):
-    """h with g h = c, by least squares.
-
-    Raises Unsolvable, carrying g and the remainder of dividing c by g,
-    when the residual exceeds tol * scale.  The remainder itself cannot
-    decide this at high degree: on rounding errors in c it grows like
-    |zero of g|^(deg c - deg g).
-    """
-    if c.is_zero():
-        return QPoly()
-    h, resid = QPoly(), c.norm_inf()
-    if c.degree() >= g.degree():
-        [[h]], _, [resid] = _sylvester_solve(
-            [(g, c.degree() - g.degree() + 1)], c.degree() + 1, [c])
-    if resid > tol * scale:
-        _, rem = div_quotient_right(c, g)
-        raise Unsolvable(
-            "gcld(a, b) does not left-divide c (least-squares residual "
-            f"{resid:.3g}, remainder norm {rem.norm_inf():.3g})",
-            g=g, remainder=rem)
-    return h
-
-
-def _common_left_factor(f, s, u, v, k):
-    """The monic g of degree k with f = g f' and s = g s'.
-
-    From f u + s v = 0 follows f' u + s' v = 0, so (f', s') is the
-    left annihilator of the kernel pair of degrees (deg f - k,
-    deg s - k), fixed by lead f' = lead f; g then solves g f' = f,
-    g s' = s in least squares.  Both steps run on conjugates, where the
-    unknown factors multiply from the right, and the second stacks its
-    two equations as one by a shift past deg f.  Solving instead for g
-    directly from a p + b q - (g - d^k) = d^k inverts division by g,
-    whose error grows like |zero of g|^deg c.
-    """
-    n, m = f.degree(), s.degree()
-    cu, cv, clead = u.conjugate(), v.conjugate(), f.lead().conjugate()
-    [[f_low, cs]], _, _ = _sylvester_solve(
-        [(cu, n - k), (cv, m - k + 1)], n + m - 2 * k + 1,
-        [-shift(scale_right(cu, clead), n - k)])
-    cf = f_low + QPoly.monomial(clead, n - k)
-    [[cg]], _, _ = _sylvester_solve(
-        [(cf + shift(cs, n + 1), k + 1)], n + m + 2,
-        [f.conjugate() + shift(s.conjugate(), n + 1)])
-    return scale_right(cg.conjugate(),
-                       _invert(cg.lead().conjugate(), "leading coefficient"))
 
 
 def build_c(roots, tol: float = COEFF_TOL) -> QPoly:

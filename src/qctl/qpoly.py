@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .errors import BothZero, EigensolverFailure, IllConditioned, ZeroDivisor
+from .errors import (BothZero, EigensolverFailure, IllConditioned,
+                     Unsolvable, ZeroDivisor)
 from .quat import (ZERO_THRESHOLD, Quaternion, SimilarityClass, _coerce,
                    left_mul_matrix, right_mul_matrix)
 
@@ -322,34 +323,23 @@ def gcld(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
     right quotients.
 
     Maintains r_i = a p_i + b q_i (cofactors updated on the right, since
-    r_{i+1} = r_{i-1} - r_i quo).  On termination g is normalized monic
-    by a right unit, which keeps it a left divisor of both inputs.  The
-    final cofactor pair gives the kernel: a u + b v = 0 with (u, -v)
-    right coprime.
+    r_{i+1} = r_{i-1} - r_i quo), remainders trimmed relative to the
+    inputs.  g is made monic by a right unit, which keeps it a left
+    divisor of both inputs.  The final cofactor pair gives the kernel:
+    a u + b v = 0 with (u, -v) right coprime.
     """
-    g, unit, quotients = _euclid(a, b, tol)
-    p0, q0, p1, q1 = QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one()
-    for quo in quotients:
-        p0, q0, p1, q1 = p1, q1, p0 - mul(p1, quo), q0 - mul(q1, quo)
-    return BezoutData(g, scale_right(p0, unit), scale_right(q0, unit),
-                      p1, q1, "left")
-
-
-def _euclid(a: QPoly, b: QPoly, tol: float):
-    """gcld's remainder chain, remainders trimmed relative to the inputs:
-    (g, unit, quotients), g = r unit the last nonzero remainder r made
-    monic by the right unit, and the chain's right quotients in order."""
     if a.is_zero() and b.is_zero():
         raise BothZero("gcld(0, 0) is undefined")
     scale = max(1.0, a.norm_inf(), b.norm_inf())
     r0, r1 = a, b.trim(tol, scale)
-    quotients = []
+    p0, q0, p1, q1 = QPoly.one(), QPoly.zero(), QPoly.zero(), QPoly.one()
     while not r1.is_zero():
         quo, rem = div_quotient_right(r0, r1)
-        quotients.append(quo)
         r0, r1 = r1, rem.trim(tol, scale)
+        p0, q0, p1, q1 = p1, q1, p0 - mul(p1, quo), q0 - mul(q1, quo)
     unit = _invert(r0.lead(), "leading coefficient of the gcld")
-    return scale_right(r0, unit), unit, quotients
+    return BezoutData(scale_right(r0, unit), scale_right(p0, unit),
+                      scale_right(q0, unit), p1, q1, "left")
 
 
 def gcrd(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
@@ -370,15 +360,19 @@ def left_to_right(a: QPoly, b: QPoly, tol: float = COEFF_TOL):
     """Convert the left fraction a^{-1} b into a right fraction
     b_r a_r^{-1}.
 
-    The kernel cofactors of gcld(a, b) satisfy a u + b v = 0, so
-    a^{-1} b = u (-v)^{-1}; the pair (b_r, a_r) = (u, -v) is right
-    coprime with deg a_r <= deg a and deg b_r <= deg b.  Both are
+    The kernel pair of solve_diophantine's Sylvester decision on (a, b),
+    b trimmed by tol relative to the inputs, satisfies a u + b v = 0, so
+    a^{-1} b = u (-v)^{-1}; (b_r, a_r) = (u, -v) is right coprime, of
+    degrees deg b - k and deg a - k with k = deg gcld(a, b).  Both are
     rescaled by a right unit so a_r(0) = 1 (monic when a_r(0) = 0).
     """
     if a.is_zero():
         raise ZeroDivisor("left fraction needs a nonzero denominator")
-    data = gcld(a, b, tol)
-    b_r, a_r = data.u, -data.v
+    b = b.trim(tol, max(1.0, a.norm_inf(), b.norm_inf()))
+    if b.is_zero():
+        return QPoly(), QPoly.one()
+    _, _, (b_r, v), _ = _left_gcd(a, b, tol)
+    a_r = -v
     scale = max(1.0, a_r.norm_inf(), b_r.norm_inf())
     c0 = a_r.at0()
     unit = (c0.inverse() if c0.norm() > tol * scale
@@ -390,9 +384,9 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     """Convert the right fraction b a^{-1} into a left fraction
     a_l^{-1} b_l, i.e. b_l a = a_l b.
 
-    The conjugate of :func:`left_to_right` on conj(a)^{-1} conj(b): the
-    pair (a_l, b_l) is left coprime and normalized by a left unit so
-    a_l(0) = 1 (monic when a_l(0) = 0).
+    The conjugate of :func:`left_to_right` on conj(a)^{-1} conj(b), so
+    (a_l, b_l) is the conjugated Sylvester kernel pair: left coprime and
+    normalized by a left unit so a_l(0) = 1 (monic when a_l(0) = 0).
     """
     if a.is_zero():
         raise ZeroDivisor("right fraction needs a nonzero denominator")
@@ -411,13 +405,16 @@ def _sylvester_solve(blocks, rows: int, rhs):
     the block-Toeplitz map, the coefficient a_i acting on (x1, conj x2)
     as [[a1, -a2], [conj a2, conj a1]], so it is half the size of the
     real 4 x 4 embedding.  It is equilibrated first: every column to
-    unit norm, then every row.  A square matrix gets its singular
-    values and, when they show full rank, an LU solve with one step of
-    iterative refinement.  That keeps the residual small coefficient by
-    coefficient, which the SVD-based lstsq does not once the
-    coefficients span decades, as those of plants from state space do.
-    Any other matrix gets one lstsq call.  Each call serves every
-    right-hand side in ``rhs``.
+    unit norm, then every row whose norm is above ZERO_THRESHOLD times
+    the largest (smaller rows hold rounding noise, which unit norm would
+    blow up to the size of real equations).  A square matrix gets its
+    singular values and, when they show full rank, an LU solve with one
+    step of iterative refinement.  That keeps the residual small
+    coefficient by coefficient, which the SVD-based lstsq does not once
+    the coefficients span decades, as those of plants from state space
+    do.  Any other matrix gets one lstsq call.  Each call serves every
+    right-hand side in ``rhs``; with none, a square matrix gets its
+    singular values only.
 
     Returns (solutions, sv, resid): solutions[r] lists the x_i for
     rhs[r]; sv holds the singular values of the equilibrated matrix,
@@ -438,21 +435,24 @@ def _sylvester_solve(blocks, rows: int, rhs):
         scale = 1.0 / math.sqrt(p_norm2.sum())
         row_norm2[:len(p1) + n - 1] += (np.convolve(p_norm2, np.ones(n))
                                         * scale ** 2)
-        blk = scale * np.stack([p1, -p2, p2.conj(), p1.conj()],
-                               axis=1).reshape(-1, 2)
+        blk = scale * np.array([p1, -p2, p2.conj(),
+                                p1.conj()]).T.reshape(-1, 2)
         for j in range(n):
             M[2 * j:2 * j + len(blk), col:col + 2] = blk
             col += 2
         col_scale[col - 2 * n:col] = scale
-    row_scale = np.repeat(np.where(row_norm2 > 0.0,
-                                   1.0 / np.sqrt(row_norm2), 1.0), 2)
+    row_norm = np.sqrt(row_norm2)
+    live = row_norm > ZERO_THRESHOLD * row_norm.max()
+    row_scale = np.repeat(1.0 / np.where(live, row_norm, 1.0), 2)
     M *= row_scale[:, None]
+    square = rows == cols
+    sv = np.linalg.svd(M, compute_uv=False) if square else None
+    if not rhs:
+        return [], sv, np.empty(0)
     R = np.zeros((2 * rows, len(rhs)), dtype=complex)
     for k, r in enumerate(rhs):
         R[:2 * len(r._z), k] = _flip_q2(r._z).ravel()
     R *= row_scale[:, None]
-    square = rows == cols
-    sv = np.linalg.svd(M, compute_uv=False) if square else None
     # full rank by lstsq's own default cutoff
     if square and sv[-1] > 2 * rows * np.finfo(float).eps * sv[0]:
         sol = np.linalg.solve(M, R)
@@ -471,6 +471,72 @@ def _sylvester_solve(blocks, rows: int, rhs):
 def _flip_q2(z):
     """The rows (q1, conj q2) of the pair rows (q1, q2) of z, and back."""
     return (z.view(float) * _CONJ_Q2).view(complex)
+
+
+def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
+              solve: bool = True):
+    """The Sylvester decision of solve_diophantine on nonzero f, s, with
+    ``top`` in place of deg c: (k, g, (u, v), sols).  k = deg gcld(f, s);
+    g is the monic common left factor (1 when k = 0); f u + s v = 0 with
+    u monic of degree deg s - k; sols[r] is the pair (x, y), deg x < deg u,
+    with f x + s y = rhs[r], in least squares when k > 0.  With ``solve``
+    false and k = 0 only singular values are computed; (u, v) is None.
+
+    g solves g f' = f, g s' = s in least squares, (f', s') being the left
+    annihilator of (u, v) with lead f' = lead f.  Both solves run on
+    conjugates, where the unknowns multiply from the right.  Solving for g
+    from f p + s q = g instead inverts division by g, whose error grows
+    like |zero of g|^deg c.
+    """
+    n, m = f.degree(), s.degree()
+    rows = max(top, n + m) + 1
+    sols, sv, _ = _sylvester_solve([(f, m), (s, rows - m)], rows,
+                                   [*rhs, -shift(f, m)] if solve else [])
+    k = min(int((sv <= tol * sv[0]).sum()) // 2, n, m)
+    if k:
+        rows = max(top, n + m - k) + 1
+        sols, _, _ = _sylvester_solve([(f, m - k), (s, rows - m)], rows,
+                                      [*rhs, -shift(f, m - k)])
+    elif not solve:
+        return 0, QPoly.one(), None, []
+    *sols, (u_low, v) = sols
+    u, v = u_low + QPoly.monomial(1.0, m - k), v.trim(tol)
+    if not k:
+        return 0, QPoly.one(), (u, v), sols
+    cu, cv, clead = u.conjugate(), v.conjugate(), f.lead().conjugate()
+    [[f_low, cs]], _, _ = _sylvester_solve(
+        [(cu, n - k), (cv, m - k + 1)], n + m - 2 * k + 1,
+        [-shift(scale_right(cu, clead), n - k)])
+    cf = f_low + QPoly.monomial(clead, n - k)
+    [[cg]], _, _ = _sylvester_solve(
+        [(cf + shift(cs, n + 1), k + 1)], n + m + 2,
+        [f.conjugate() + shift(s.conjugate(), n + 1)])
+    g = scale_right(cg.conjugate(),
+                    _invert(cg.lead().conjugate(), "leading coefficient"))
+    return k, g, (u, v), sols
+
+
+def _left_quotient(g, c, tol, scale):
+    """h with g h = c, by least squares.
+
+    Raises Unsolvable, carrying g and the remainder of dividing c by g,
+    when the residual exceeds tol * scale.  The remainder itself cannot
+    decide this at high degree: on rounding errors in c it grows like
+    |zero of g|^(deg c - deg g).
+    """
+    if c.is_zero():
+        return QPoly()
+    h, resid = QPoly(), c.norm_inf()
+    if c.degree() >= g.degree():
+        [[h]], _, [resid] = _sylvester_solve(
+            [(g, c.degree() - g.degree() + 1)], c.degree() + 1, [c])
+    if resid > tol * scale:
+        _, rem = div_quotient_right(c, g)
+        raise Unsolvable(
+            "gcld(a, b) does not left-divide c (least-squares residual "
+            f"{resid:.3g}, remainder norm {rem.norm_inf():.3g})",
+            g=g, remainder=rem)
+    return h
 
 
 def _companion_coeffs(C) -> np.ndarray:

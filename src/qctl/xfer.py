@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
-                     ZeroDivisor)
+                     Unsolvable, ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
                    complex_adjoint, right_eigenvalues)
-from .qpoly import (_CONJ, COEFF_TOL, QPoly, _euclid, _invert, _wrap,
-                    div_quotient_right, left_to_right, mul, right_to_left,
+from .qpoly import (_CONJ, COEFF_TOL, QPoly, _invert, _left_gcd,
+                    _left_quotient, _wrap, left_to_right, mul, right_to_left,
                     right_zeros, scale_left, scale_right)
 from .sim import _blocks, _impulse_response
 
@@ -54,28 +54,35 @@ class StateSpace:
 
 def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
     """Trim den and num and divide out their greatest common left
-    divisor, leaving den^{-1} num unchanged.  Only gcld's g is needed,
-    so the remainder chain runs without the Bezout cofactors."""
+    divisor g, leaving den^{-1} num unchanged.  The Sylvester decision
+    of solve_diophantine gives deg g from singular values alone; only
+    when it is positive are g and the quotients g^{-1} den, g^{-1} num
+    computed, by least squares.  A g that leaves either residual above
+    tol times the larger input is no common factor at that tolerance,
+    and den, num stay as trimmed."""
     if den.is_zero():
         raise ZeroDivisor("fraction denominator is zero")
     scale = max(1.0, den.norm_inf(), num.norm_inf())
     den = den.trim(tol, scale)
     num = num.trim(tol, scale)
-    if not num.is_zero():
-        g = _euclid(den, num, tol)[0]
-        if g.degree() >= 1:
-            den, _ = div_quotient_right(den, g)
-            num, _ = div_quotient_right(num, g)
+    if den.degree() > 0 and num.degree() > 0:
+        k, g, _, _ = _left_gcd(den, num, tol, solve=False)
+        if k:
+            try:
+                return (_left_quotient(g, den, tol, scale),
+                        _left_quotient(g, num, tol, scale))
+            except Unsolvable:
+                pass
     return den, num
 
 
 class LeftFraction:
     """Transfer function den^{-1} num.
 
-    Construction reduces by the greatest common left divisor and then
-    normalizes den(0) = 1 by a left unit (falling back to a monic
-    denominator when den(0) is zero).  Both transforms leave the
-    fraction's value unchanged.
+    Construction divides out the greatest common left divisor that the
+    Sylvester decision of solve_diophantine finds (see _cancel_gcld),
+    then normalizes den(0) = 1 by a left unit (monic when den(0) is
+    zero).  Neither step changes the fraction's value.
     """
 
     __slots__ = ("den", "num")
@@ -98,11 +105,11 @@ class LeftFraction:
 class RightFraction:
     """Transfer function num den^{-1}.
 
-    Construction reduces by the greatest common right divisor, computed
-    as the conjugate of the left reduction of conj(den)^{-1} conj(num).
-    No unit normalization is applied, so num and den keep the scaling
-    they were given; callers that need a causal normal form convert to
-    a left fraction.
+    Construction divides out the greatest common right divisor: the
+    conjugate of the left reduction (the Sylvester decision, see
+    _cancel_gcld) of conj(den)^{-1} conj(num).  No unit normalization is
+    applied, so num and den keep the scaling they were given; callers
+    that need a causal normal form convert to a left fraction.
     """
 
     __slots__ = ("num", "den")

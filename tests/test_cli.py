@@ -297,3 +297,23 @@ def test_cli_digits_flag(tmp_path, capsys):
     main(["eig", "--system", plant, "--digits", "9"])
     long = capsys.readouterr().out
     assert "1.37" in short and "1.3660254" in long
+
+
+def test_cli_tol_flag(tmp_path, capsys):
+    plant = _plant_path(tmp_path)
+    poly = _write(tmp_path, "p.json",
+                  to_doc(gen.rand_poly(gen.rng_for(52), 4)))
+    for argv in (["eig", "--system", plant], ["tf", "--system", plant],
+                 ["zeros", "--poly", poly], ["stable", "--poly", poly],
+                 ["design", "--plant", plant, "--roots", "3, 4"]):
+        assert main(argv + ["--tol", "0"]) == 1
+        assert main(argv + ["--tol", "-1e-9"]) == 1
+    capsys.readouterr()
+    # without --tol each command runs at its library function's default
+    assert main(["zeros", "--poly", poly]) == 0
+    default = capsys.readouterr().out
+    assert main(["zeros", "--poly", poly, "--tol", "1e-9"]) == 0
+    assert capsys.readouterr().out == default
+    # a given --tol reaches the library: none is met below 1e-300
+    assert main(["tf", "--system", plant, "--tol", "1e-300"]) == 2
+    assert "AnnihilatorNotFound" in capsys.readouterr().err

@@ -11,7 +11,7 @@ conversions loses the target classes.
 import numpy as np
 import pytest
 
-from qctl import markov, place_poles, realize
+from qctl import markov, place_poles, realize, series
 import gen
 import oracle
 
@@ -64,3 +64,17 @@ def test_sixteen_state_design_decides_stability():
     # conjugates at 1e-8; the verdict needs only its norms
     _, _, res = _design(16, 7)
     assert res.stable is True
+
+
+def test_lazy_t_w_series_matches_the_closed_loop():
+    # t_w is read back through right_to_left(p, c) and the cancellation of
+    # LeftFraction, which the design itself never runs
+    n, count = 12, 36
+    misses = []
+    for seed in SEEDS:
+        _, _, res = _design(n, seed)
+        want = oracle.markov(oracle.system_pair(res.closed_loop), count)
+        err = oracle.seq_rel_err(series(res.t_w, count), want)
+        if not err <= 1e-6:
+            misses.append((seed, err))
+    assert not misses

@@ -4,7 +4,7 @@ degree bounds, and the minimal x against a dense solve."""
 
 import pytest
 
-from qctl import QPoly, Unsolvable, pmul, solve_diophantine
+from qctl import I, J, K, QPoly, Unsolvable, pmul, shift, solve_diophantine
 import gen
 import oracle
 
@@ -86,3 +86,51 @@ def test_particular_coprime(d, seed):
     assert oracle.coeff_norm_max(kernel) <= 1e-8 * max(
         1.0, oracle.coeff_norm_max(oracle.polymul(
             A, oracle.poly_pair(sol.x_step))))
+
+
+def _check_shared_factor(a, b, c, g):
+    """Every mode solves a x + b y = c and returns the monic g, where g is
+    the exact common left factor of a, b and c."""
+    A, B, C = (oracle.poly_pair(p) for p in (a, b, c))
+    misses = []
+    for mode in ("particular", "minimal_x", "minimal_y"):
+        sol = solve_diophantine(a, b, c, mode=mode)
+        X, Y = oracle.poly_pair(sol.x), oracle.poly_pair(sol.y)
+        # sol.g times the lead of g is g itself
+        g_back = oracle.polymul(oracle.poly_pair(sol.g),
+                                oracle.poly_pair(QPoly([g.lead()])))
+        resid = oracle.residual(A, B, C, X, Y)
+        g_err = oracle.rel_diff(g_back, oracle.poly_pair(g))
+        if not (resid <= 1e-9 and g_err <= 1e-8):
+            misses.append((mode, resid, g_err))
+    return misses
+
+
+D = QPoly([0.0, 1.0])
+
+
+@pytest.mark.parametrize("g,a1,b1,c1", [
+    # b(0) = 0 leaves Sylvester rows that hold rounding noise alone;
+    # scaled to unit norm, that noise had made g = d - 0.703 i - 0.041 j
+    (QPoly([1.0, I]), QPoly([1.0, J]), D, QPoly([2.0, K, 1.0])),
+    # a(0) = b(0) = 0 leaves an exactly zero row
+    (D, QPoly([1.0, J]), QPoly([2.0, I]), QPoly([1.0, K, 3.0])),
+], ids=["noise-rows", "zero-row"])
+def test_shared_factor_with_b_vanishing_at_zero(g, a1, b1, c1):
+    assert not _check_shared_factor(pmul(g, a1), pmul(g, b1), pmul(g, c1), g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_factor_with_b_vanishing_at_zero_seeded(k):
+    misses = []
+    for seed in range(1, 41):
+        rng = gen.rng_for(seed, 980 + k)
+        g = gen.rand_poly(rng, k)
+        a = pmul(g, gen.rand_poly(rng, 3))
+        b = pmul(g, shift(gen.rand_poly(rng, 2), 1))
+        c = pmul(g, gen.rand_poly(rng, 6))
+        try:
+            misses += [(seed, m) for m in _check_shared_factor(a, b, c, g)]
+        except Unsolvable as exc:
+            misses.append((seed, str(exc)))
+    assert not misses

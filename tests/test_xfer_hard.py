@@ -10,8 +10,9 @@ many decades once n reaches 16.
 
 import pytest
 
-from qctl import (AnnihilatorNotFound, QPoly, Quaternion, QuatMatrix,
-                  StateSpace, markov, series, tf_left, tf_right)
+from qctl import (AnnihilatorNotFound, LeftFraction, QPoly, Quaternion,
+                  QuatMatrix, RightFraction, StateSpace, fraction_equal,
+                  markov, pmul, series, shift, tf_left, tf_right)
 import gen
 import oracle
 
@@ -104,3 +105,24 @@ def test_unreachable_tolerance_raises():
     for fn in (tf_left, tf_right):
         with pytest.raises(AnnihilatorNotFound, match="up to degree 4"):
             fn(ss, 1e-300)
+
+
+@pytest.mark.parametrize("kg,kd", [(4, 12), (8, 16)])
+def test_user_built_fractions_cancel_an_exact_common_factor(kg, kd):
+    # a degree-kg factor shared on the left (right) of a coprime pair of
+    # degree kd; the reduced fraction must be that pair up to a unit
+    misses = []
+    for seed in range(1, 21):
+        rng = gen.rng_for(seed, 950 + kd)
+        g = gen.rand_poly(rng, kg)
+        a1 = gen.rand_causal_poly(rng, kd)
+        b1 = shift(gen.rand_poly(rng, kd - 2), 1)
+        pairs = ((LeftFraction(pmul(g, a1), pmul(g, b1)),
+                  LeftFraction(a1, b1)),
+                 (RightFraction(pmul(b1, g), pmul(a1, g)),
+                  RightFraction(b1, a1)))
+        for frac, want in pairs:
+            if not (frac.den.degree() == kd
+                    and fraction_equal(frac, want, 1e-8)):
+                misses.append((seed, frac.kind, frac.den.degree()))
+    assert not misses

@@ -68,9 +68,13 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
 
     - k = deg gcld(a, b) is half the number of singular values at or
       below tol * (largest singular value) of the equilibrated square
-      matrix of (x, y) -> a x + b y with deg x < m and
+      matrix M of (x, y) -> a x + b y with deg x < m and
       deg y <= max(deg c, n + m) - m.  Its null space holds the kernel
-      multiples (x_step t, y_step t) with deg t < k.
+      multiples (x_step t, y_step t) with deg t < k.  The LU that
+      solves with M also gives M^-1, and, with r = max(deg c, n + m) + 1
+      coefficient equations, 1 / |M^-1|_F > 2 max(tol, 2 r eps) |M|_F
+      certifies k = 0 (sigma_min >= 1 / |M^-1|_F, sigma_max <= |M|_F);
+      the singular values are computed only when that certificate fails.
     - k = 0 (left coprime, the common case): the same call solves for
       the solution and, from the right-hand side -a d^m, for the kernel
       pair with x_step = d^m + (lower terms); g = 1.

@@ -394,32 +394,21 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     return a_r.conjugate(), b_r.conjugate()
 
 
-def _sylvester_solve(blocks, rows: int, rhs):
-    """Solve sum_i p_i x_i = r over skew polynomials, in least squares
-    when there are more equations than unknowns.
+def _sylvester_matrix(blocks, rows: int):
+    """The equilibrated Sylvester matrix M of sum_i p_i x_i over skew
+    polynomials, with its row and column scales: (M, row_scale,
+    col_scale).
 
     ``blocks`` lists the pairs (p_i, n_i), the unknown x_i having
     n_i coefficients (deg x_i < n_i); ``rows`` is the number of
     coefficient equations, d^0 through d^(rows-1), and must cover every
-    product and right-hand side.  The matrix is the complex adjoint of
-    the block-Toeplitz map, the coefficient a_i acting on (x1, conj x2)
-    as [[a1, -a2], [conj a2, conj a1]], so it is half the size of the
-    real 4 x 4 embedding.  It is equilibrated first: every column to
-    unit norm, then every row whose norm is above ZERO_THRESHOLD times
-    the largest (smaller rows hold rounding noise, which unit norm would
-    blow up to the size of real equations).  A square matrix gets its
-    singular values and, when they show full rank, an LU solve with one
-    step of iterative refinement.  That keeps the residual small
-    coefficient by coefficient, which the SVD-based lstsq does not once
-    the coefficients span decades, as those of plants from state space
-    do.  Any other matrix gets one lstsq call.  Each call serves every
-    right-hand side in ``rhs``; with none, a square matrix gets its
-    singular values only.
-
-    Returns (solutions, sv, resid): solutions[r] lists the x_i for
-    rhs[r]; sv holds the singular values of the equilibrated matrix,
-    each quaternionic one twice; resid[r] is the largest coefficient
-    norm of the residual sum_i p_i x_i - r.
+    product.  The matrix is the complex adjoint of the block-Toeplitz
+    map, the coefficient a_i acting on (x1, conj x2) as
+    [[a1, -a2], [conj a2, conj a1]], so it is half the size of the
+    real 4 x 4 embedding.  Every column is scaled to unit norm, then
+    every row whose norm is above ZERO_THRESHOLD times the largest
+    (smaller rows hold rounding noise, which unit norm would blow up to
+    the size of real equations).
     """
     cols = sum(n for _, n in blocks)
     M = np.zeros((2 * rows, 2 * cols), dtype=complex)
@@ -445,27 +434,82 @@ def _sylvester_solve(blocks, rows: int, rhs):
     live = row_norm > ZERO_THRESHOLD * row_norm.max()
     row_scale = np.repeat(1.0 / np.where(live, row_norm, 1.0), 2)
     M *= row_scale[:, None]
-    square = rows == cols
-    sv = np.linalg.svd(M, compute_uv=False) if square else None
-    if not rhs:
-        return [], sv, np.empty(0)
+    return M, row_scale, col_scale
+
+
+def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
+    """Solve sum_i p_i x_i = r over skew polynomials, in least squares
+    when there are more equations than unknowns.
+
+    ``blocks`` and ``rows`` give the matrix M of :func:`_sylvester_matrix`
+    (``rows`` must also cover every right-hand side).  A square M is
+    factored once: one LU solve of M [X | Y] = [R | I] gives the
+    solutions X and M^-1.  M is a complex adjoint, so M^-1 is one too,
+    and only the even columns of I are solved for: each odd column of
+    M^-1 is the even one before it with the rows (u, v) mapped to
+    (-conj v, conj u).  Since sigma_min >= 1 / |M^-1|_F and
+    sigma_max <= |M|_F, the test
+    1 / |M^-1|_F > 2 max(tol, 2 rows eps) |M|_F certifies that no
+    singular value is at or below tol times the largest and that M has
+    full rank by lstsq's own default cutoff.  Only when that certificate
+    fails (or the LU meets an exact zero pivot) are the singular values
+    computed, and the LU solution is kept when they show full rank.  A
+    full-rank M gets one step of iterative refinement with M^-1.  That
+    keeps the residual small coefficient by coefficient, which the
+    SVD-based lstsq does not once the coefficients span decades, as those
+    of plants from state space do.  Any other matrix gets one lstsq call.
+    Each call serves every right-hand side in ``rhs``; with none, a
+    square M gets its rank decision only.
+
+    Returns (solutions, small, resid): solutions[r] lists the x_i for
+    rhs[r]; small counts the singular values of a square M at or below
+    tol times the largest, each quaternionic one twice (0 when the
+    certificate holds; None when M is not square); resid[r] is the
+    largest coefficient norm of the residual sum_i p_i x_i - r.
+    """
+    M, row_scale, col_scale = _sylvester_matrix(blocks, rows)
     R = np.zeros((2 * rows, len(rhs)), dtype=complex)
     for k, r in enumerate(rhs):
         R[:2 * len(r._z), k] = _flip_q2(r._z).ravel()
     R *= row_scale[:, None]
-    # full rank by lstsq's own default cutoff
-    if square and sv[-1] > 2 * rows * np.finfo(float).eps * sv[0]:
-        sol = np.linalg.solve(M, R)
-        sol -= np.linalg.solve(M, M @ sol - R)
-    else:
-        sol, _, _, sv = np.linalg.lstsq(M, R, rcond=None)
+    small, sol = None, None
+    if M.shape[0] == M.shape[1]:
+        rank_cut = 2 * rows * np.finfo(float).eps
+        try:
+            X = np.linalg.solve(M, np.hstack([R, np.eye(len(M))[:, 0::2]]))
+            sol, inv_even = X[:, :len(rhs)], X[:, len(rhs):]
+            cut = 2 * max(tol, rank_cut) * math.sqrt(np.vdot(M, M).real)
+            # an M^-1 too large to square is far from certified: its
+            # norm reads inf or nan, and the test fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_norm2 = 2 * np.vdot(inv_even, inv_even).real
+            full = math.sqrt(inv_norm2) * cut < 1
+        except np.linalg.LinAlgError:
+            full = False
+        small = 0
+        if not full:
+            sv = np.linalg.svd(M, compute_uv=False)
+            small = int((sv <= tol * sv[0]).sum())
+            full = sol is not None and sv[-1] > rank_cut * sv[0]
+        if not rhs:
+            return [], small, np.empty(0)
+        if full:
+            inv = np.empty_like(M)
+            inv[:, 0::2] = inv_even
+            inv[0::2, 1::2] = -inv_even[1::2].conj()
+            inv[1::2, 1::2] = inv_even[0::2].conj()
+            sol = sol - inv @ (M @ sol - R)
+        else:
+            sol = None
+    if sol is None:
+        sol = np.linalg.lstsq(M, R, rcond=None)[0]
     res = (M @ sol - R) / row_scale[:, None]
     resid = np.sqrt(np.abs(res[0::2]) ** 2
                     + np.abs(res[1::2]) ** 2).max(axis=0)
     sol = np.ascontiguousarray((sol * col_scale[:, None]).T)
     bounds = np.cumsum([2 * n for _, n in blocks])[:-1]
     return ([[_wrap(_flip_q2(x.reshape(-1, 2))) for x in np.split(s, bounds)]
-             for s in sol], sv, resid)
+             for s in sol], small, resid)
 
 
 def _flip_q2(z):
@@ -479,8 +523,12 @@ def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
     ``top`` in place of deg c: (k, g, (u, v), sols).  k = deg gcld(f, s);
     g is the monic common left factor (1 when k = 0); f u + s v = 0 with
     u monic of degree deg s - k; sols[r] is the pair (x, y), deg x < deg u,
-    with f x + s y = rhs[r], in least squares when k > 0.  With ``solve``
-    false and k = 0 only singular values are computed; (u, v) is None.
+    with f x + s y = rhs[r], in least squares when k > 0.  k is half the
+    count of singular values at or below tol times the largest of the
+    square matrix with deg u < deg s, which _sylvester_solve reads back
+    as 0 without computing any when its LU certificate holds.  With
+    ``solve`` false and k = 0 nothing more than that decision is
+    computed; (u, v) is None.
 
     g solves g f' = f, g s' = s in least squares, (f', s') being the left
     annihilator of (u, v) with lead f' = lead f.  Both solves run on
@@ -490,9 +538,10 @@ def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
     """
     n, m = f.degree(), s.degree()
     rows = max(top, n + m) + 1
-    sols, sv, _ = _sylvester_solve([(f, m), (s, rows - m)], rows,
-                                   [*rhs, -shift(f, m)] if solve else [])
-    k = min(int((sv <= tol * sv[0]).sum()) // 2, n, m)
+    sols, small, _ = _sylvester_solve([(f, m), (s, rows - m)], rows,
+                                      [*rhs, -shift(f, m)] if solve else [],
+                                      tol)
+    k = min(small // 2, n, m)
     if k:
         rows = max(top, n + m - k) + 1
         sols, _, _ = _sylvester_solve([(f, m - k), (s, rows - m)], rows,

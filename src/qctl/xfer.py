@@ -55,11 +55,12 @@ class StateSpace:
 def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
     """Trim den and num and divide out their greatest common left
     divisor g, leaving den^{-1} num unchanged.  The Sylvester decision
-    of solve_diophantine gives deg g from singular values alone; only
-    when it is positive are g and the quotients g^{-1} den, g^{-1} num
-    computed, by least squares.  A g that leaves either residual above
-    tol times the larger input is no common factor at that tolerance,
-    and den, num stay as trimmed."""
+    of solve_diophantine gives deg g with no right-hand side: 0 when
+    its LU certificate of full rank holds, else from the singular
+    values.  Only when it is positive are g and the quotients
+    g^{-1} den, g^{-1} num computed, by least squares.  A g that leaves
+    either residual above tol times the larger input is no common
+    factor at that tolerance, and den, num stay as trimmed."""
     if den.is_zero():
         raise ZeroDivisor("fraction denominator is zero")
     scale = max(1.0, den.norm_inf(), num.norm_inf())

@@ -2,9 +2,14 @@
 the independent arithmetic of oracle.py: the residual against |c|, the
 degree bounds, and the minimal x against a dense solve."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from qctl import I, J, K, QPoly, Unsolvable, pmul, shift, solve_diophantine
+from qctl import (I, J, K, LeftFraction, QPoly, Unsolvable, left_to_right,
+                  pmul, shift, solve_diophantine, tf_left)
+from qctl.qpoly import COEFF_TOL, _left_gcd, _sylvester_matrix
 import gen
 import oracle
 
@@ -134,3 +139,122 @@ def test_shared_factor_with_b_vanishing_at_zero_seeded(k):
         except Unsolvable as exc:
             misses.append((seed, str(exc)))
     assert not misses
+
+
+def _linear(q):
+    return QPoly([-q, 1.0])
+
+
+# Exact common left factors with small integer coefficients: the
+# Sylvester matrix is singular, and its LU either meets an exact zero
+# pivot (LinAlgError inside the kernel) or an inverse of about 1e16.
+# k is the degree of the planted common factor.
+SINGULAR = [
+    (pmul(_linear(I), _linear(2.0)), _linear(I), 1),
+    (pmul(_linear(1.0), _linear(2.0)), _linear(1.0), 1),
+    (pmul(_linear(I), _linear(2.0)), pmul(_linear(I), _linear(-1.0)), 1),
+    (pmul(D, _linear(2.0)), D, 1),
+    (pmul(D, _linear(2.0)), pmul(D, _linear(-I)), 1),
+    (pmul(_linear(2.0), _linear(I)), _linear(2.0), 1),
+    (pmul(pmul(_linear(J), _linear(I)), _linear(2.0)),
+     pmul(_linear(J), _linear(I)), 2),
+    (pmul(pmul(_linear(1.0), _linear(1.0)), pmul(_linear(1.0), _linear(2.0))),
+     pmul(pmul(_linear(1.0), _linear(1.0)), _linear(1.0)), 3),
+]
+
+
+@pytest.mark.parametrize("a,b,k", SINGULAR,
+                         ids=[f"case{i}" for i in range(len(SINGULAR))])
+def test_exactly_singular_sylvester_falls_back(a, b, k):
+    c = pmul(b, _linear(3.0 * J))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mode in ("particular", "minimal_x", "minimal_y"):
+            assert solve_diophantine(a, b, c, mode=mode).g.degree() == k
+        frac = LeftFraction(a, b)
+        b_r, a_r = left_to_right(a, b)
+    assert (frac.den.degree(), frac.num.degree()) == (a.degree() - k,
+                                                      b.degree() - k)
+    assert (b_r.degree(), a_r.degree()) == (b.degree() - k, a.degree() - k)
+
+
+@pytest.mark.parametrize("eps", [1e-160, 1e-300])
+def test_inverse_too_large_to_square_falls_back(eps):
+    # d - eps and d share d to within eps; the LU inverse holds entries
+    # of about 1 / eps, whose squares overflow
+    a = _linear(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _left_gcd(a, D, COEFF_TOL, solve=False)[0] == 1
+        b_r, a_r = left_to_right(a, D)
+        b_r3, a_r3 = left_to_right(pmul(a, _linear(2.0 * J)),
+                                   pmul(D, _linear(I)))
+    assert (b_r.degree(), a_r.degree()) == (0, 0)
+    assert (b_r3.degree(), a_r3.degree()) == (1, 1)
+
+
+def _rule_k(f, s, tol=COEFF_TOL):
+    """k by the singular-value rule on _left_gcd's equilibrated matrix."""
+    n, m = f.degree(), s.degree()
+    rows = n + m + 1
+    M, _, _ = _sylvester_matrix([(f, m), (s, rows - m)], rows)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return min(int((sv <= tol * sv[0]).sum()) // 2, n, m)
+
+
+def _sweep():
+    """(f, s, planted) over coprime, common and near-common pairs;
+    planted is None for coprime pairs, else (deg g, relative shift)."""
+    for d in range(1, 33):
+        rng = gen.rng_for(d, 991)
+        yield gen.rand_poly(rng, d), gen.rand_poly(rng, d), None
+        if d > 1:
+            yield gen.rand_poly(rng, d), gen.rand_poly(rng, d - 1), None
+    for k in range(1, 5):
+        for seed in range(1, 6):
+            rng = gen.rng_for(seed, 992 + k)
+            g = gen.rand_poly(rng, k)
+            f1, s1 = gen.rand_poly(rng, 4), gen.rand_poly(rng, 3)
+            yield pmul(g, f1), pmul(g, s1), (k, 0.0)
+            for eps in (1e-7, 1e-9, 1e-11):
+                # move every coefficient of g in s's factor by eps |g|
+                step = QPoly([gen.rand_unit_quat(rng) for _ in range(k + 1)])
+                g_near = g + QPoly([eps * g.norm_inf() * q
+                                    for q in step.coeffs])
+                yield pmul(g, f1), pmul(g_near, s1), (k, eps)
+
+
+def test_certificate_decides_as_singular_values():
+    misses, near_k = [], set()
+    for f, s, planted in _sweep():
+        want = _rule_k(f, s)
+        got = (_left_gcd(f, s, COEFF_TOL, solve=False)[0],
+               _left_gcd(f, s, COEFF_TOL, [QPoly.one()])[0])
+        if got != (want, want):
+            misses.append((f.degree(), s.degree(), planted, want, got))
+        if planted and planted[1]:
+            near_k.add(want > 0)
+    assert not misses
+    # the perturbations straddle the cut: some read coprime, some not
+    assert near_k == {False, True}
+
+
+def test_coprime_decisions_skip_singular_values(monkeypatch):
+    rng = gen.rng_for(1, 993)
+    a, b = gen.rand_poly(rng, 32), gen.rand_poly(rng, 31)
+    c = gen.rand_poly(rng, 63)
+    ss = gen.rand_system(gen.rng_for(2, 993), 4)
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sol = solve_diophantine(a, b, c, mode="minimal_x")
+    frac = tf_left(ss)
+    assert not calls
+    assert sol.g.degree() == 0 and frac.den.degree() == 4
+    a, b, k = SINGULAR[0]
+    assert solve_diophantine(a, b, b, mode="minimal_x").g.degree() == k
+    assert calls

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import warnings as _warnings
 
+import numpy as np
+
 from .errors import (BothZero, DegenerateKernel, IllPosed,
                      NonCausalController, ZeroRoot)
-from .quat import Quaternion, _coerce, ZERO_THRESHOLD
+from .quat import _coerce, ZERO_THRESHOLD
 from .qmat import spectral_radius_stable
 from .qpoly import (COEFF_TOL, QPoly, _invert, _left_gcd, _left_quotient,
-                    _sylvester_solve, _wrap, mul, right_to_left, scale_left,
-                    scale_right)
+                    _norm, _sylvester_solve, _wrap, mul, right_to_left,
+                    scale_left, scale_right)
 from .xfer import (LeftFraction, RightFraction, _observer_form, _series,
                    _unit_at0, as_left_fraction)
 
@@ -149,17 +151,27 @@ def build_c(roots, tol: float = COEFF_TOL) -> QPoly:
     vanish and no causal controller could produce that loop.  Roots on
     or inside the unit circle draw a warning since the matching
     closed-loop mode would not decay.
+
+    The roots are packed once into one array of the factors' pair
+    arrays, and mul takes the product factor by factor with no
+    Quaternion per factor, bit for bit the chain of mul calls on
+    QPoly factors.
     """
-    c = QPoly.one()
-    for r in roots:
-        z = _coerce(r)
-        if z.norm() <= ZERO_THRESHOLD:
+    z = np.array([_coerce(r).components() for r in roots],
+                 dtype=float).reshape(-1, 4)
+    for norm in _norm(z.T).tolist():
+        if norm <= ZERO_THRESHOLD:
             raise ZeroRoot("closed-loop root at 0 is not realizable")
-        if z.norm() <= 1.0 + tol:
+        if norm <= 1.0 + tol:
             _warnings.warn(
-                f"root with norm {z.norm():.4g} <= 1 yields a "
+                f"root with norm {norm:.4g} <= 1 yields a "
                 "non-decaying closed-loop mode", stacklevel=2)
-        c = mul(c, QPoly([z, Quaternion(-1.0)]))
+    factors = np.empty((len(z), 2, 2), dtype=complex)
+    factors[:, 0] = z.view(complex)
+    factors[:, 1] = -1.0, 0.0
+    c = QPoly.one()
+    for factor in factors:
+        c = mul(c, _wrap(factor))
     return c
 
 
@@ -176,10 +188,12 @@ class DesignResult:
     t_v, t_w: the closed-loop transfer functions from reference and
     output disturbance to y, as left fractions.  Passing None for them
     defers them: closed_loop_response_tfs(plant, p, q) then computes
-    both on first read.  No design decision rests on them.
+    both on first read.  Passing None for controller likewise defers
+    RightFraction(q, p), with its common-factor cancellation, to the
+    first read.  No design decision rests on any of the three.
     """
 
-    __slots__ = ("plant", "c", "p", "q", "controller", "closed_loop",
+    __slots__ = ("plant", "c", "p", "q", "_controller", "closed_loop",
                  "stable", "warnings", "_tfs", "_tol")
 
     def __init__(self, plant, c, p, q, controller, t_v, t_w, closed_loop,
@@ -188,12 +202,18 @@ class DesignResult:
         self.c = c
         self.p = p
         self.q = q
-        self.controller = controller
+        self._controller = controller
         self._tfs = None if t_v is None or t_w is None else (t_v, t_w)
         self._tol = COEFF_TOL
         self.closed_loop = closed_loop
         self.stable = stable
         self.warnings = list(warnings)
+
+    @property
+    def controller(self):
+        if self._controller is None:
+            self._controller = RightFraction(self.q, self.p, self._tol)
+        return self._controller
 
     def _response_tfs(self):
         if self._tfs is None:
@@ -243,17 +263,19 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     variable (norms above 1 mean decay) or a ready-made target
     polynomial.
 
-    Solves a p + b q = c for the minimal-degree p and forms the
-    controller q p^{-1}.  The closed loop t_w = p c^{-1} a is realized
-    by composition, with no fraction conversion: the observer form of
-    c_ach^{-1} a, with c_ach = a p + b q cut to deg c + 1 coefficients,
-    in series with the observer form of the FIR p.  c_ach, not c, makes
-    the verdict depend on the computed p and q.  That realization is
-    block triangular, so its spectrum is the inverse zero classes of
-    c_ach plus modes at the origin, and stable is its spectral-radius
-    verdict.  NonCausalController signals p(0) = 0, which would make
-    the feedback law depend on the current output; NonCausal signals
-    c_ach(0) = 0.
+    Solves a p + b q = c for the minimal-degree p.  The controller
+    q p^{-1} is built on the first read of result.controller, and
+    tf_left builds a StateSpace plant's fraction with no coprimeness
+    decision, so such a design makes one, in solve_diophantine.  The
+    closed loop t_w = p c^{-1} a is realized by composition, with no
+    fraction conversion: the observer form of c_ach^{-1} a, with
+    c_ach = a p + b q cut to deg c + 1 coefficients, in series with the
+    observer form of the FIR p.  c_ach, not c, makes the verdict depend
+    on the computed p and q.  That realization is block triangular, so
+    its spectrum is the inverse zero classes of c_ach plus modes at the
+    origin, and stable is its spectral-radius verdict.
+    NonCausalController signals p(0) = 0, which would make the feedback
+    law depend on the current output; NonCausal signals c_ach(0) = 0.
     """
     frac = as_left_fraction(plant, tol)
     notes = []
@@ -274,12 +296,11 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     p, q = sol.x, sol.y
     if p.is_zero() or p.at0().norm() <= tol * max(1.0, p.norm_inf()):
         raise NonCausalController("p(0) = 0: the controller is not causal")
-    controller = RightFraction(q, p)
     c_ach = _wrap((mul(a, p) + mul(b, q))._z[:c.degree() + 1])
     closed_loop = _series(_observer_form(*_unit_at0(c_ach, a)),
                           _observer_form(QPoly.one(), p))
     stable = spectral_radius_stable(closed_loop.F)
-    result = DesignResult(frac, c, p, q, controller, None, None, closed_loop,
+    result = DesignResult(frac, c, p, q, None, None, None, closed_loop,
                           stable, notes)
     result._tol = tol
     return result

@@ -52,20 +52,25 @@ class StateSpace:
         return f"StateSpace(n={self.n})"
 
 
+def _trim_pair(den: QPoly, num: QPoly, tol: float):
+    """(den, num, scale): both trimmed by tol relative to scale =
+    max(1, |den|, |num|).  Raises ZeroDivisor when den is zero."""
+    if den.is_zero():
+        raise ZeroDivisor("fraction denominator is zero")
+    scale = max(1.0, den.norm_inf(), num.norm_inf())
+    return den.trim(tol, scale), num.trim(tol, scale), scale
+
+
 def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
-    """Trim den and num and divide out their greatest common left
-    divisor g, leaving den^{-1} num unchanged.  The Sylvester decision
-    of solve_diophantine gives deg g with no right-hand side: 0 when
-    its LU certificate of full rank holds, else from the singular
+    """Trim den and num (see _trim_pair) and divide out their greatest
+    common left divisor g, leaving den^{-1} num unchanged.  The Sylvester
+    decision of solve_diophantine gives deg g with no right-hand side: 0
+    when its LU certificate of full rank holds, else from the singular
     values.  Only when it is positive are g and the quotients
     g^{-1} den, g^{-1} num computed, by least squares.  A g that leaves
     either residual above tol times the larger input is no common
     factor at that tolerance, and den, num stay as trimmed."""
-    if den.is_zero():
-        raise ZeroDivisor("fraction denominator is zero")
-    scale = max(1.0, den.norm_inf(), num.norm_inf())
-    den = den.trim(tol, scale)
-    num = num.trim(tol, scale)
+    den, num, scale = _trim_pair(den, num, tol)
     if den.degree() > 0 and num.degree() > 0:
         k, g, _, _ = _left_gcd(den, num, tol, solve=False)
         if k:
@@ -83,7 +88,9 @@ class LeftFraction:
     Construction divides out the greatest common left divisor that the
     Sylvester decision of solve_diophantine finds (see _cancel_gcld),
     then normalizes den(0) = 1 by a left unit (monic when den(0) is
-    zero).  Neither step changes the fraction's value.
+    zero).  Neither step changes the fraction's value.  The fractions
+    that tf_left builds are coprime by construction and skip the
+    decision (see _coprime).
     """
 
     __slots__ = ("den", "num")
@@ -91,7 +98,18 @@ class LeftFraction:
     kind = "left"
 
     def __init__(self, den: QPoly, num: QPoly, tol: float = COEFF_TOL):
-        den, num = _cancel_gcld(den, num, tol)
+        self._normalize(*_cancel_gcld(den, num, tol), tol)
+
+    @classmethod
+    def _coprime(cls, den: QPoly, num: QPoly):
+        """The fraction den^{-1} num of a pair known to be left coprime:
+        trimmed and normalized as by the constructor at its default tol,
+        with no Sylvester decision."""
+        frac = cls.__new__(cls)
+        frac._normalize(*_trim_pair(den, num, COEFF_TOL)[:2], COEFF_TOL)
+        return frac
+
+    def _normalize(self, den: QPoly, num: QPoly, tol: float):
         c0 = den.at0()
         unit = (c0.inverse() if c0.norm() > tol * max(1.0, den.norm_inf())
                 else _invert(den.lead(),
@@ -110,7 +128,8 @@ class RightFraction:
     conjugate of the left reduction (the Sylvester decision, see
     _cancel_gcld) of conj(den)^{-1} conj(num).  No unit normalization is
     applied, so num and den keep the scaling they were given; callers
-    that need a causal normal form convert to a left fraction.
+    that need a causal normal form convert to a left fraction.  The
+    fractions that tf_right builds skip the decision (see _coprime).
     """
 
     __slots__ = ("num", "den")
@@ -121,6 +140,15 @@ class RightFraction:
         den, num = _cancel_gcld(den.conjugate(), num.conjugate(), tol)
         self.num = num.conjugate()
         self.den = den.conjugate()
+
+    @classmethod
+    def _coprime(cls, num: QPoly, den: QPoly):
+        """The fraction num den^{-1} of a pair known to be right coprime,
+        trimmed as by the constructor at its default tol, with no
+        Sylvester decision."""
+        frac = cls.__new__(cls)
+        frac.den, frac.num, _ = _trim_pair(den, num, COEFF_TOL)
+        return frac
 
     def __repr__(self):
         return f"RightFraction(num={self.num!r}, den={self.den!r})"
@@ -167,10 +195,40 @@ def _first_dependence(A, rows, tol: float):
     blocks B = m-1, ..., 0 in least squares with unit-norm rows, that is
     r F^m = -sum_i a_i r F^(m-i) with a_i = a_i1 + a_i2 j, and returns
     (x, stacked blocks m-1, ..., 0) once the residual is at most tol
-    times the norm of that row; a_i's pair is x[2i-2:2i]."""
-    block, earlier = rows, np.empty((0, A.shape[0]), dtype=complex)
-    for m in range(A.shape[0] // 2 + 1):
-        target, x = block[0], np.empty(0, dtype=complex)
+    times the norm of that row; a_i's pair is x[2i-2:2i].
+
+    A step whose least-squares residual cannot meet that test is
+    skipped unsolved.  One QR factorization of all N/2 + 1 blocks,
+    each scaled by its largest entry so that high powers stay in range,
+    gives |R[2m, 2m]|, the distance of block m's first row from the
+    span of blocks 0, ..., m-1, which no least-squares residual
+    undercuts; the solve runs only where that distance is at most
+    100 tol times the row's norm, and at m = N/2, where R has no such
+    entry.  An exactly zero block has distance 0.  The solve itself
+    runs on the unscaled blocks rows A^k, so x and the stacked blocks
+    are those of solving at every step."""
+    n = A.shape[0]
+    screen = np.empty((n + 2, n), dtype=complex)
+    zero = np.zeros(n // 2 + 1, dtype=bool)
+    block = rows
+    for m in range(n // 2 + 1):
+        peak = np.abs(block).max(initial=0.0)
+        zero[m] = not peak
+        screen[2 * m:2 * m + 2] = block / peak if peak else block
+        block = screen[2 * m:2 * m + 2] @ A
+    dist = np.abs(np.diagonal(np.linalg.qr(screen.T, mode="r"))[::2])
+    dist[zero[:-1]] = 0.0
+    skip = [*(dist > 100 * tol * np.linalg.norm(screen[:n:2], axis=1)),
+            False]
+    blocks = [rows]
+    for m in range(n // 2 + 1):
+        if skip[m]:
+            continue
+        while len(blocks) <= m:
+            blocks.append(blocks[-1] @ A)
+        target, x = blocks[m][0], np.empty(0, dtype=complex)
+        earlier = (np.vstack(blocks[m - 1::-1]) if m
+                   else np.empty((0, n), dtype=complex))
         resid = target
         if m:
             w = 1.0 / np.linalg.norm(earlier, axis=1)
@@ -178,7 +236,6 @@ def _first_dependence(A, rows, tol: float):
             resid = x @ earlier + target
         if np.linalg.norm(resid) <= tol * np.linalg.norm(target):
             return x, earlier
-        earlier, block = np.vstack([block, earlier]), block @ A
     raise AnnihilatorNotFound(f"no dependence up to degree {m} met the "
                               f"relative residual tolerance {tol:g}")
 
@@ -186,8 +243,10 @@ def _first_dependence(A, rows, tol: float):
 def _annihilator(sys: StateSpace, tol: float):
     """(a, b), a(0) = 1, with a^{-1} b the minimal left fraction.  The
     rows H F^k are restricted to the controllable subspace (spanned by
-    the dual rows G^H (F^H)^k), where their first dependence gives a;
-    b is a S cut after d^(deg a), S the Markov parameters."""
+    the dual rows G^H (F^H)^k), where their first dependence, at index
+    m, gives a; b is a S cut after d^m, S the Markov parameters.  The
+    cut is at m, not at deg a: when F is nilpotent on that subspace the
+    top coefficients of a can be exact zeros while b's are not."""
     F = complex_adjoint(sys.F)
     _, ctrb = _first_dependence(F.conj().T, complex_adjoint(sys.G).conj().T,
                                 tol)
@@ -196,23 +255,29 @@ def _annihilator(sys: StateSpace, tol: float):
                              complex_adjoint(sys.H) @ Q, tol)
     a = _wrap(np.vstack([[1.0, 0.0], x.reshape(-1, 2)]))
     b = mul(a, QPoly(markov(sys, sys.n + 1)))
-    return a, _wrap(b._z[:a.degree() + 1])
+    return a, _wrap(b._z[:len(x) // 2 + 1])
 
 
 def tf_left(sys: StateSpace, tol: float = 1e-7) -> LeftFraction:
     """Minimal left fraction den^{-1} num equal to the system's series.
     deg den is the first m at which H F^m, on the controllable subspace,
     lies in the left span of H F^(m-1), ..., H: its least-squares
-    residual on the complex adjoint is at most ``tol`` times its norm."""
-    return LeftFraction(*_annihilator(sys, tol))
+    residual on the complex adjoint is at most ``tol`` times its norm.
+    A QR screen of all the rows skips the steps whose distance from
+    that span already fails the test (see _first_dependence).  The pair
+    is coprime by construction, so the fraction is trimmed by COEFF_TOL
+    and normalized to den(0) = 1 with no coprimeness decision."""
+    return LeftFraction._coprime(*_annihilator(sys, tol))
 
 
 def tf_right(sys: StateSpace, tol: float = 1e-7) -> RightFraction:
     """Minimal right fraction num den^{-1}: the conjugate of the left
     fraction of the dual system, as sum a_i conj(S_(k-i)) = 0 conjugates
-    to sum S_(k-i) conj(a_i) = 0.  ``tol`` is tf_left's, on the dual."""
+    to sum S_(k-i) conj(a_i) = 0.  ``tol`` is tf_left's, on the dual.
+    Like tf_left's, the fraction is trimmed by COEFF_TOL with no
+    coprimeness decision."""
     a, b = _annihilator(_dual(sys), tol)
-    return RightFraction(b.conjugate(), a.conjugate())
+    return RightFraction._coprime(b.conjugate(), a.conjugate())
 
 
 def _dual(sys: StateSpace) -> StateSpace:

@@ -10,7 +10,8 @@ from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllConditioned,
                   Unsolvable, ZeroDivisor, ZeroRoot, build_c,
                   closed_loop_response_tfs, fraction_equal, markov,
                   place_poles, pmul, realize, right_eigenvalues,
-                  right_zeros, series, solve_diophantine, tf_left)
+                  right_zeros, series, solve_diophantine, tf_left,
+                  tf_right)
 import gen
 
 PLANT = StateSpace(QuatMatrix([[ONE, I], [J, K]]),
@@ -110,6 +111,17 @@ def test_build_c_product_and_validation():
         warnings.simplefilter("always")
         build_c([0.5, 3.0])
     assert any("non-decaying" in str(w.message) for w in caught)
+
+
+def test_build_c_is_the_ordered_mul_chain():
+    rng = gen.rng_for(58)
+    for count in range(1, 17):
+        roots = gen.spaced_nonreal(rng, count)
+        roots[::3] = gen.spaced_real(rng, len(roots[::3]))
+        want = QPoly.one()
+        for z in roots:
+            want = pmul(want, QPoly([z, Quaternion(-1.0)]))
+        assert build_c(roots) == want
 
 
 def test_place_poles_reference_design():
@@ -219,3 +231,33 @@ def test_place_poles_runs_no_fraction_conversion(monkeypatch):
     assert realize(res.controller).n == 1
     with pytest.raises(AssertionError, match="fraction conversion"):
         res.t_w
+
+
+def _count_left_gcd(monkeypatch):
+    """Count the Sylvester coprimeness decisions in every module that
+    binds _left_gcd."""
+    decide, calls = importlib.import_module("qctl.qpoly")._left_gcd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decide(*args, **kwargs)
+
+    for module in ("qctl.qpoly", "qctl.xfer", "qctl.design"):
+        mod = importlib.import_module(module)
+        if hasattr(mod, "_left_gcd"):
+            monkeypatch.setattr(mod, "_left_gcd", counted)
+    return calls
+
+
+def test_a_design_makes_one_coprimeness_decision(monkeypatch):
+    calls = _count_left_gcd(monkeypatch)
+    ss = gen.plant_system(gen.rng_for(1, 108), 8)
+    for fn in (tf_left, tf_right):
+        fn(ss)
+        fn(PLANT)
+    assert not calls
+    res = place_poles(PLANT, [3.0, 4.0])
+    assert len(calls) == 1
+    ctrl = res.controller
+    assert len(calls) == 2 and ctrl.kind == "right"
+    assert res.controller is ctrl and len(calls) == 2

@@ -8,11 +8,13 @@ with the powers of F, so the rows H F^k that decide the degree span
 many decades once n reaches 16.
 """
 
+import numpy as np
 import pytest
 
 from qctl import (AnnihilatorNotFound, LeftFraction, QPoly, Quaternion,
-                  QuatMatrix, RightFraction, StateSpace, fraction_equal,
-                  markov, pmul, series, shift, tf_left, tf_right)
+                  QuatMatrix, RightFraction, StateSpace, complex_adjoint,
+                  fraction_equal, markov, place_poles, pmul, realize, series,
+                  shift, tf_left, tf_right, xfer)
 import gen
 import oracle
 
@@ -125,4 +127,167 @@ def test_user_built_fractions_cancel_an_exact_common_factor(kg, kd):
             if not (frac.den.degree() == kd
                     and fraction_equal(frac, want, 1e-8)):
                 misses.append((seed, frac.kind, frac.den.degree()))
+    assert not misses
+
+
+def _reference_first_dependence(A, rows, tol):
+    """The dependence search that solves in least squares at every
+    step, which _first_dependence must reproduce bit for bit."""
+    block, earlier = rows, np.empty((0, A.shape[0]), dtype=complex)
+    for m in range(A.shape[0] // 2 + 1):
+        target, x = block[0], np.empty(0, dtype=complex)
+        resid = target
+        if m:
+            w = 1.0 / np.linalg.norm(earlier, axis=1)
+            x = np.linalg.lstsq(earlier.T * w, -target, rcond=None)[0] * w
+            resid = x @ earlier + target
+        if np.linalg.norm(resid) <= tol * np.linalg.norm(target):
+            return x, earlier
+        earlier, block = np.vstack([block, earlier]), block @ A
+    raise AnnihilatorNotFound(f"no dependence up to degree {m}")
+
+
+def _compare_with_reference(monkeypatch):
+    """Make every _first_dependence call also run the reference; the
+    returned list collects the calls whose outputs differ."""
+    screened, misses = xfer._first_dependence, []
+
+    def both(A, rows, tol):
+        try:
+            want = _reference_first_dependence(A, rows, tol)
+        except AnnihilatorNotFound:
+            want = None
+        try:
+            got = screened(A, rows, tol)
+        except AnnihilatorNotFound:
+            if want is not None:
+                misses.append((A.shape[0], tol, "raised"))
+            raise
+        if want is None or not (np.array_equal(got[0], want[0])
+                                and np.array_equal(got[1], want[1])):
+            misses.append((A.shape[0], tol, len(got[0])))
+        return got
+
+    monkeypatch.setattr(xfer, "_first_dependence", both)
+    return misses
+
+
+def _fir_systems():
+    """Observer and controllable forms of FIR fractions of degree 1-8."""
+    out = []
+    for deg in range(1, 9):
+        num = gen.rand_poly(gen.rng_for(deg, 960), deg)
+        out += [realize(LeftFraction(QPoly.one(), num)),
+                realize(RightFraction(num, QPoly.one()))]
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-7, 1e-9])
+def test_screened_dependence_search_matches_solving_every_step(
+        monkeypatch, tol):
+    misses = _compare_with_reference(monkeypatch)
+    systems = [gen.plant_system(gen.rng_for(seed, 100 + n), n)
+               for n in range(2, 25) for seed in SEEDS]
+    systems += [_non_minimal(n, k, seed, observable)
+                for n, k in [(2, 1), (4, 2), (6, 3), (8, 4)]
+                for seed in SEEDS for observable in (True, False)]
+    systems += _fir_systems()
+    for ss in systems:
+        for fn in (tf_left, tf_right):
+            try:
+                fn(ss, tol)
+            except AnnihilatorNotFound:
+                pass
+    assert not misses
+
+
+def _scaled(m, s):
+    return QuatMatrix([[q * s for q in row] for row in m.data], m.cols)
+
+
+def test_screen_stays_in_range_where_the_powers_overflow(monkeypatch):
+    # the output sees 8 of 16 states, so the search over the rows H F^k
+    # (the first pass of tf_right) stops at k = 8, while the unscaled
+    # H F^16 overflows
+    base = _non_minimal(8, 8, 1, observable=False)
+    A = complex_adjoint(_scaled(base.F, 1e25))
+    rows = complex_adjoint(_scaled(base.H, 1e-70))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(rows @ np.linalg.matrix_power(A, 16)).all()
+    x, earlier = xfer._first_dependence(A, rows, 1e-7)
+    want_x, want_earlier = _reference_first_dependence(A, rows, 1e-7)
+    assert len(x) == 16
+    assert np.array_equal(x, want_x) and np.array_equal(earlier, want_earlier)
+    # nilpotent of index 2: every block from the third on is exactly zero
+    rng = gen.rng_for(1, 970)
+    zero = QuatMatrix.zeros(3, 3)
+    ss = StateSpace(
+        _blocks([[zero, gen.rand_matrix(rng, 3, 3)], [zero, zero]], 6),
+        gen.rand_matrix(rng, 6, 1), gen.rand_matrix(rng, 1, 6), Quaternion())
+    misses = _compare_with_reference(monkeypatch)
+    for fn in (tf_left, tf_right):
+        frac = fn(ss)
+        assert frac.den == QPoly.one() and frac.num.degree() == 2
+    assert not misses
+
+
+def test_screen_leaves_one_solve_per_pass_on_minimal_plants(monkeypatch):
+    solve, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for seed in SEEDS:
+        ss = gen.plant_system(gen.rng_for(seed, 108), 8)
+        for fn in (tf_left, tf_right):
+            calls.clear()
+            fn(ss)
+            assert len(calls) <= 2
+
+
+ONE_DELAY = StateSpace(QuatMatrix([[Quaternion()]]),
+                       QuatMatrix([[Quaternion(1.0)]]),
+                       QuatMatrix([[Quaternion(1.0)]]), Quaternion())
+
+
+def test_one_delay_keeps_its_numerator():
+    delay = QPoly.monomial(1.0, 1)
+    for fn in (tf_left, tf_right):
+        frac = fn(ONE_DELAY)
+        assert frac.den == QPoly.one() and frac.num == delay
+    assert markov(realize(ONE_DELAY), 4) == markov(ONE_DELAY, 4)
+    res = place_poles(ONE_DELAY, [2.0])
+    assert res.plant.num == delay and res.stable
+
+
+@pytest.mark.parametrize("deg", range(1, 9))
+def test_fir_systems_round_trip(deg):
+    misses = []
+    for seed in SEEDS:
+        num = gen.rand_poly(gen.rng_for(seed, 960 + deg), deg)
+        for frac in (LeftFraction(QPoly.one(), num),
+                     RightFraction(num, QPoly.one())):
+            ss = realize(frac)
+            for fn in (tf_left, tf_right):
+                got = fn(ss)
+                if not (got.den.degree() == 0
+                        and fraction_equal(got, frac, 1e-9)):
+                    misses.append((seed, frac.kind, fn.__name__))
+    assert not misses
+
+
+def test_low_degree_denominator_over_a_longer_numerator():
+    misses = []
+    for seed in SEEDS:
+        rng = gen.rng_for(seed, 980)
+        frac = LeftFraction(gen.rand_causal_poly(rng, 1),
+                            gen.rand_poly(rng, 5))
+        ss = realize(frac)
+        for fn in (tf_left, tf_right):
+            got = fn(ss)
+            err = _markov_err(ss, got)
+            if got.den.degree() != 1 or not err <= MARKOV_TOL:
+                misses.append((seed, fn.__name__, got.den.degree(), err))
     assert not misses

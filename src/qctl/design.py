@@ -69,21 +69,21 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
     by ``tol`` relative to their largest coefficient:
 
     - k = deg gcld(a, b) is half the number of singular values at or
-      below tol * (largest singular value) of the equilibrated square
-      matrix M of (x, y) -> a x + b y with deg x < m and
-      deg y <= max(deg c, n + m) - m.  Its null space holds the kernel
-      multiples (x_step t, y_step t) with deg t < k.  The LU that
-      solves with M also gives M^-1, and, with r = max(deg c, n + m) + 1
-      coefficient equations, 1 / |M^-1|_F > 2 max(tol, 2 r eps) |M|_F
-      certifies k = 0 (sigma_min >= 1 / |M^-1|_F, sigma_max <= |M|_F);
-      the singular values are computed only when that certificate fails.
+      below floor * (largest singular value), floor = max(tol, 2 r eps),
+      of the equilibrated square matrix M of (x, y) -> a x + b y with
+      deg x < m, deg y < r - m and r = max(deg c, n + m) + 1 coefficient
+      equations.  Its null space holds the kernel multiples
+      (x_step t, y_step t) with deg t < k.  The LU that solves with M
+      also gives M^-1, and 1 / |M^-1|_F > 2 floor |M|_F certifies k = 0
+      (sigma_min >= 1 / |M^-1|_F, sigma_max <= |M|_F); the singular
+      values are computed only when that certificate fails.
     - k = 0 (left coprime, the common case): the same call solves for
       the solution and, from the right-hand side -a d^m, for the kernel
       pair with x_step = d^m + (lower terms); g = 1.
-    - k > 0: the map with deg x < m - k gives the solution and the
-      kernel pair, x_step monic of degree m - k.  g solves g a' = a,
-      g b' = b in least squares, (a', b') being the left annihilator
-      of the kernel pair.
+    - k > 0: M gets no solution; the map with deg x < m - k gives the
+      solution and the kernel pair, x_step monic of degree m - k.  g
+      solves g a' = a, g b' = b, (a', b') being the left annihilator of
+      the kernel pair, all in least squares.
     - a = 0 or b = 0: g is the other one made monic.  a = b = 0
       raises BothZero.
     - Whenever g != 1, the equation is solvable exactly when g
@@ -124,7 +124,7 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
     else:
         swap, particular = mode == "minimal_y", mode == "particular"
         f, s = (b, a) if swap else (a, b)
-        k, g, (x_step, y_step), [(x, y)] = _left_gcd(
+        k, g, (x_step, y_step), [(x, y)], _ = _left_gcd(
             f, s, tol, [QPoly.one() if particular else c], c.degree())
         ctilde = _left_quotient(g, c, tol, scale) if k else c
         if particular and k:

@@ -213,12 +213,6 @@ def scale_right(a: QPoly, q) -> QPoly:
     return _wrap((a._z.view(float) @ right_mul_matrix(q).T).view(complex))
 
 
-def normalize(a: QPoly, tol: float = 0.0, scale: float = None) -> QPoly:
-    """Trim near-zero trailing coefficients so the leading one is
-    genuinely nonzero."""
-    return a.trim(tol, scale) if tol > 0 else a
-
-
 def shift(a: QPoly, k: int) -> QPoly:
     """Multiply by d^k (k >= 0)."""
     if a.is_zero():
@@ -356,27 +350,40 @@ def gcrd(a: QPoly, b: QPoly, tol: float = COEFF_TOL) -> BezoutData:
                       data.v.conjugate(), "right")
 
 
+def _trim_pair(den: QPoly, num: QPoly, tol: float):
+    """(den, num, scale): both trimmed by tol relative to scale =
+    max(1, |den|, |num|).  Raises ZeroDivisor when den trims to zero."""
+    scale = max(1.0, den.norm_inf(), num.norm_inf())
+    den = den.trim(tol, scale)
+    if den.is_zero():
+        raise ZeroDivisor("fraction denominator is zero")
+    return den, num.trim(tol, scale), scale
+
+
+def _unit(den: QPoly, tol: float, scale: float) -> Quaternion:
+    """The unit normalizing a fraction's denominator: den(0)^{-1}, or
+    lead(den)^{-1} (making it monic) when |den(0)| <= tol scale."""
+    c0 = den.at0()
+    return (c0.inverse() if c0.norm() > tol * scale
+            else _invert(den.lead(), "leading coefficient of the denominator"))
+
+
 def left_to_right(a: QPoly, b: QPoly, tol: float = COEFF_TOL):
     """Convert the left fraction a^{-1} b into a right fraction
     b_r a_r^{-1}.
 
     The kernel pair of solve_diophantine's Sylvester decision on (a, b),
-    b trimmed by tol relative to the inputs, satisfies a u + b v = 0, so
-    a^{-1} b = u (-v)^{-1}; (b_r, a_r) = (u, -v) is right coprime, of
-    degrees deg b - k and deg a - k with k = deg gcld(a, b).  Both are
-    rescaled by a right unit so a_r(0) = 1 (monic when a_r(0) = 0).
+    trimmed by _trim_pair, satisfies a u + b v = 0, so a^{-1} b =
+    u (-v)^{-1}; (b_r, a_r) = (u, -v) is right coprime, of degrees
+    deg b - k and deg a - k with k = deg gcld(a, b).  Both are rescaled
+    by the right _unit, so a_r(0) = 1 (monic when a_r(0) = 0).
     """
-    if a.is_zero():
-        raise ZeroDivisor("left fraction needs a nonzero denominator")
-    b = b.trim(tol, max(1.0, a.norm_inf(), b.norm_inf()))
+    a, b, _ = _trim_pair(a, b, tol)
     if b.is_zero():
         return QPoly(), QPoly.one()
-    _, _, (b_r, v), _ = _left_gcd(a, b, tol)
+    _, _, (b_r, v), _, _ = _left_gcd(a, b, tol)
     a_r = -v
-    scale = max(1.0, a_r.norm_inf(), b_r.norm_inf())
-    c0 = a_r.at0()
-    unit = (c0.inverse() if c0.norm() > tol * scale
-            else _invert(a_r.lead(), "leading coefficient of the denominator"))
+    unit = _unit(a_r, tol, max(1.0, a_r.norm_inf(), b_r.norm_inf()))
     return scale_right(b_r, unit), scale_right(a_r, unit)
 
 
@@ -388,8 +395,6 @@ def right_to_left(b: QPoly, a: QPoly, tol: float = COEFF_TOL):
     (a_l, b_l) is the conjugated Sylvester kernel pair: left coprime and
     normalized by a left unit so a_l(0) = 1 (monic when a_l(0) = 0).
     """
-    if a.is_zero():
-        raise ZeroDivisor("right fraction needs a nonzero denominator")
     b_r, a_r = left_to_right(a.conjugate(), b.conjugate(), tol)
     return a_r.conjugate(), b_r.conjugate()
 
@@ -438,34 +443,35 @@ def _sylvester_matrix(blocks, rows: int):
 
 
 def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
-    """Solve sum_i p_i x_i = r over skew polynomials, in least squares
-    when there are more equations than unknowns.
+    """Solve sum_i p_i x_i = r over skew polynomials: by LU when the
+    matrix M is square, in least squares when it has more equations
+    than unknowns.
 
-    ``blocks`` and ``rows`` give the matrix M of :func:`_sylvester_matrix`
-    (``rows`` must also cover every right-hand side).  A square M is
+    ``blocks`` and ``rows`` give M (see :func:`_sylvester_matrix`;
+    ``rows`` must also cover every right-hand side).  A square M is
     factored once: one LU solve of M [X | Y] = [R | I] gives the
     solutions X and M^-1.  M is a complex adjoint, so M^-1 is one too,
     and only the even columns of I are solved for: each odd column of
     M^-1 is the even one before it with the rows (u, v) mapped to
     (-conj v, conj u).  Since sigma_min >= 1 / |M^-1|_F and
-    sigma_max <= |M|_F, the test
-    1 / |M^-1|_F > 2 max(tol, 2 rows eps) |M|_F certifies that no
-    singular value is at or below tol times the largest and that M has
-    full rank by lstsq's own default cutoff.  Only when that certificate
-    fails (or the LU meets an exact zero pivot) are the singular values
-    computed, and the LU solution is kept when they show full rank.  A
-    full-rank M gets one step of iterative refinement with M^-1.  That
-    keeps the residual small coefficient by coefficient, which the
-    SVD-based lstsq does not once the coefficients span decades, as those
-    of plants from state space do.  Any other matrix gets one lstsq call.
-    Each call serves every right-hand side in ``rhs``; with none, a
+    sigma_max <= |M|_F, the test 1 / |M^-1|_F > 2 floor |M|_F, with the
+    rank floor max(tol, 2 rows eps), certifies that no singular value is
+    at or below the floor times the largest.  Only when it fails (or
+    the LU meets an exact zero pivot) are the singular values computed
+    and counted against the same floor; a square M with any there, or
+    whose LU fails, gets no solution.  A full-rank M gets one step
+    of iterative refinement with M^-1.  That keeps the residual small
+    coefficient by coefficient, which the SVD-based lstsq does not once
+    the coefficients span decades, as those of plants from state space
+    do.  Each call serves every right-hand side in ``rhs``; with none, a
     square M gets its rank decision only.
 
     Returns (solutions, small, resid): solutions[r] lists the x_i for
-    rhs[r]; small counts the singular values of a square M at or below
-    tol times the largest, each quaternionic one twice (0 when the
-    certificate holds; None when M is not square); resid[r] is the
-    largest coefficient norm of the residual sum_i p_i x_i - r.
+    rhs[r] (solutions is None for a rank-deficient square M); small
+    counts the singular values of a square M at or below the floor times
+    the largest, each quaternionic one twice (0 when the certificate
+    holds; None when M is not square); resid[r] is the largest
+    coefficient norm of the residual sum_i p_i x_i - r.
     """
     M, row_scale, col_scale = _sylvester_matrix(blocks, rows)
     R = np.zeros((2 * rows, len(rhs)), dtype=complex)
@@ -474,34 +480,31 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     R *= row_scale[:, None]
     small, sol = None, None
     if M.shape[0] == M.shape[1]:
-        rank_cut = 2 * rows * np.finfo(float).eps
+        floor = max(tol, 2 * rows * np.finfo(float).eps)
         try:
             X = np.linalg.solve(M, np.hstack([R, np.eye(len(M))[:, 0::2]]))
             sol, inv_even = X[:, :len(rhs)], X[:, len(rhs):]
-            cut = 2 * max(tol, rank_cut) * math.sqrt(np.vdot(M, M).real)
+            cut = 2 * floor * math.sqrt(np.vdot(M, M).real)
             # an M^-1 too large to square is far from certified: its
             # norm reads inf or nan, and the test fails
             with np.errstate(over="ignore", invalid="ignore"):
                 inv_norm2 = 2 * np.vdot(inv_even, inv_even).real
-            full = math.sqrt(inv_norm2) * cut < 1
+            small = 0 if math.sqrt(inv_norm2) * cut < 1 else None
         except np.linalg.LinAlgError:
-            full = False
-        small = 0
-        if not full:
+            pass
+        if small is None:
             sv = np.linalg.svd(M, compute_uv=False)
-            small = int((sv <= tol * sv[0]).sum())
-            full = sol is not None and sv[-1] > rank_cut * sv[0]
+            small = int((sv <= floor * sv[0]).sum())
+        if small or sol is None:
+            return None, small, None
         if not rhs:
-            return [], small, np.empty(0)
-        if full:
-            inv = np.empty_like(M)
-            inv[:, 0::2] = inv_even
-            inv[0::2, 1::2] = -inv_even[1::2].conj()
-            inv[1::2, 1::2] = inv_even[0::2].conj()
-            sol = sol - inv @ (M @ sol - R)
-        else:
-            sol = None
-    if sol is None:
+            return [], 0, np.empty(0)
+        inv = np.empty_like(M)
+        inv[:, 0::2] = inv_even
+        inv[0::2, 1::2] = -inv_even[1::2].conj()
+        inv[1::2, 1::2] = inv_even[0::2].conj()
+        sol = sol - inv @ (M @ sol - R)
+    else:
         sol = np.linalg.lstsq(M, R, rcond=None)[0]
     res = (M @ sol - R) / row_scale[:, None]
     resid = np.sqrt(np.abs(res[0::2]) ** 2
@@ -520,21 +523,25 @@ def _flip_q2(z):
 def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
               solve: bool = True):
     """The Sylvester decision of solve_diophantine on nonzero f, s, with
-    ``top`` in place of deg c: (k, g, (u, v), sols).  k = deg gcld(f, s);
-    g is the monic common left factor (1 when k = 0); f u + s v = 0 with
-    u monic of degree deg s - k; sols[r] is the pair (x, y), deg x < deg u,
-    with f x + s y = rhs[r], in least squares when k > 0.  k is half the
-    count of singular values at or below tol times the largest of the
-    square matrix with deg u < deg s, which _sylvester_solve reads back
-    as 0 without computing any when its LU certificate holds.  With
-    ``solve`` false and k = 0 nothing more than that decision is
-    computed; (u, v) is None.
+    ``top`` in place of deg c: (k, g, (u, v), sols, (f', s', resid)).
+    k = deg gcld(f, s); g is the monic common left factor (1 when k = 0);
+    f u + s v = 0 with u monic of degree deg s - k; sols[r] is the pair
+    (x, y), deg x < deg u, with f x + s y = rhs[r], in least squares
+    when k > 0; (f', s') = (g^{-1} f, g^{-1} s) to the residual resid
+    ((f, s, 0.0) when k = 0).  k is half the count of singular values at
+    or below _sylvester_solve's rank floor times the largest, of the
+    square matrix with deg u < deg s; when k > 0 the reduced one, deg u
+    = deg s - k, gives sols and (u, v).  With ``solve`` false and k = 0
+    nothing more than the decision is computed; (u, v) is None.  A
+    square matrix singular to working precision with k = 0 (the degrees
+    allow no common factor) raises IllConditioned.
 
-    g solves g f' = f, g s' = s in least squares, (f', s') being the left
-    annihilator of (u, v) with lead f' = lead f.  Both solves run on
-    conjugates, where the unknowns multiply from the right.  Solving for g
-    from f p + s q = g instead inverts division by g, whose error grows
-    like |zero of g|^deg c.
+    r solves r f' = f, r s' = s in least squares, (f', s') being the left
+    annihilator of (u, v) with lead f' = lead f; then g = r lambda^{-1}
+    and the pair is (lambda f', lambda s'), lambda = lead r.  Both solves
+    run on conjugates, where the unknowns multiply from the right.
+    Solving for g from f p + s q = g instead inverts division by g, whose
+    error grows like |zero of g|^deg c.
     """
     n, m = f.degree(), s.degree()
     rows = max(top, n + m) + 1
@@ -547,22 +554,25 @@ def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
         sols, _, _ = _sylvester_solve([(f, m - k), (s, rows - m)], rows,
                                       [*rhs, -shift(f, m - k)])
     elif not solve:
-        return 0, QPoly.one(), None, []
+        return 0, QPoly.one(), None, [], (f, s, 0.0)
+    elif sols is None:
+        raise IllConditioned("singular Sylvester system of a coprime pair")
     *sols, (u_low, v) = sols
     u, v = u_low + QPoly.monomial(1.0, m - k), v.trim(tol)
     if not k:
-        return 0, QPoly.one(), (u, v), sols
+        return 0, QPoly.one(), (u, v), sols, (f, s, 0.0)
     cu, cv, clead = u.conjugate(), v.conjugate(), f.lead().conjugate()
     [[f_low, cs]], _, _ = _sylvester_solve(
         [(cu, n - k), (cv, m - k + 1)], n + m - 2 * k + 1,
         [-shift(scale_right(cu, clead), n - k)])
     cf = f_low + QPoly.monomial(clead, n - k)
-    [[cg]], _, _ = _sylvester_solve(
+    [[cr]], _, [resid] = _sylvester_solve(
         [(cf + shift(cs, n + 1), k + 1)], n + m + 2,
         [f.conjugate() + shift(s.conjugate(), n + 1)])
-    g = scale_right(cg.conjugate(),
-                    _invert(cg.lead().conjugate(), "leading coefficient"))
-    return k, g, (u, v), sols
+    lam = cr.lead().conjugate()
+    g = scale_right(cr.conjugate(), _invert(lam, "leading coefficient"))
+    return k, g, (u, v), sols, (scale_left(lam, cf.conjugate()),
+                                scale_left(lam, cs.conjugate()), resid)
 
 
 def _left_quotient(g, c, tol, scale):
@@ -732,11 +742,11 @@ def _psi_class_checks(C, classes):
                np.sqrt(sq[1] + sq[2] + sq[3]).tolist())
 
 
-def _candidate_classes(a: QPoly, cluster_tol: float):
-    """(C, norms, classes): the (L, 4) components of a, their norms and
-    the clustered classes (re, im) of the roots of conj(a) a.  An a with
-    a coefficient norm outside [2^-511, 2^511], which would take conj(a)
-    a out of the float range, is first scaled exactly by a power of two."""
+def _companion_roots(a: QPoly):
+    """(C, norms, roots): the (L, 4) components of a, their norms and
+    the roots of conj(a) a.  An a with a coefficient norm outside
+    [2^-511, 2^511], which would take conj(a) a out of the float range,
+    is first scaled exactly by a power of two."""
     C = a._z.view(float)
     with np.errstate(all="ignore"):
         norms = _norm(C.T)
@@ -745,10 +755,9 @@ def _candidate_classes(a: QPoly, cluster_tol: float):
             C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
             norms = _norm(C.T)
         try:
-            roots = np.roots(_companion_coeffs(C)[::-1])
+            return C, norms, np.roots(_companion_coeffs(C)[::-1])
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(str(exc)) from exc
-        return C, norms, _cluster_classes(roots, cluster_tol)
 
 
 def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
@@ -773,7 +782,8 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     if a.is_zero():
         raise ValueError("right_zeros of the zero polynomial")
     cluster_tol = max(1e-6, 10.0 * tol)
-    C, norms, classes = _candidate_classes(a, cluster_tol)
+    C, norms, roots = _companion_roots(a)
+    classes = _cluster_classes(roots, cluster_tol)
     # overflow and division by zero only yield values that the decisions
     # below read as misses, so numpy need not warn about them
     with np.errstate(all="ignore"):
@@ -831,9 +841,10 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
 def is_stable(a: QPoly, tol: float = 1e-9) -> bool:
     """Stability in the backward-shift variable: every right zero
     (isolated or spherical) must have norm > 1 + tol.  Nonzero constants
-    are vacuously stable.  Each class of a root of conj(a) a holds zeros
-    of its norm, so right_zeros' candidate classes decide it."""
+    are vacuously stable.  Each root of conj(a) a has the norm of a
+    class of right zeros, so the root moduli decide it, unclustered; a
+    real or repeated zero, split there by rounding, can read unstable
+    up to a few sqrt(eps) times its norm above 1 + tol."""
     if a.is_zero():
         raise ValueError("stability of the zero polynomial is undefined")
-    _, _, classes = _candidate_classes(a, max(1e-6, 10.0 * COEFF_TOL))
-    return all(math.hypot(re, im) > 1.0 + tol for re, im in classes)
+    return bool((np.abs(_companion_roots(a)[2]) > 1.0 + tol).all())

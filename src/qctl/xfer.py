@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
-                     Unsolvable, ZeroDivisor)
+                     ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
                    complex_adjoint, right_eigenvalues)
-from .qpoly import (_CONJ, COEFF_TOL, QPoly, _invert, _left_gcd,
-                    _left_quotient, _wrap, left_to_right, mul, right_to_left,
-                    right_zeros, scale_left, scale_right)
+from .qpoly import (_CONJ, COEFF_TOL, QPoly, _left_gcd, _trim_pair, _unit,
+                    _wrap, left_to_right, mul, right_to_left, right_zeros,
+                    scale_left, scale_right)
 from .sim import _blocks, _impulse_response
 
 
@@ -52,45 +52,32 @@ class StateSpace:
         return f"StateSpace(n={self.n})"
 
 
-def _trim_pair(den: QPoly, num: QPoly, tol: float):
-    """(den, num, scale): both trimmed by tol relative to scale =
-    max(1, |den|, |num|).  Raises ZeroDivisor when den is zero."""
-    if den.is_zero():
-        raise ZeroDivisor("fraction denominator is zero")
-    scale = max(1.0, den.norm_inf(), num.norm_inf())
-    return den.trim(tol, scale), num.trim(tol, scale), scale
-
-
 def _cancel_gcld(den: QPoly, num: QPoly, tol: float):
     """Trim den and num (see _trim_pair) and divide out their greatest
     common left divisor g, leaving den^{-1} num unchanged.  The Sylvester
-    decision of solve_diophantine gives deg g with no right-hand side: 0
-    when its LU certificate of full rank holds, else from the singular
-    values.  Only when it is positive are g and the quotients
-    g^{-1} den, g^{-1} num computed, by least squares.  A g that leaves
-    either residual above tol times the larger input is no common
-    factor at that tolerance, and den, num stay as trimmed."""
+    decision of solve_diophantine gives deg g with no right-hand side,
+    and when it is positive, the reduced pair (g^{-1} den, g^{-1} num)
+    with the residual of solving for g, from the same pass.  A residual
+    above tol times the larger input means g is no common factor at that
+    tolerance, and den, num stay as trimmed."""
     den, num, scale = _trim_pair(den, num, tol)
     if den.degree() > 0 and num.degree() > 0:
-        k, g, _, _ = _left_gcd(den, num, tol, solve=False)
-        if k:
-            try:
-                return (_left_quotient(g, den, tol, scale),
-                        _left_quotient(g, num, tol, scale))
-            except Unsolvable:
-                pass
+        *_, (den_r, num_r, resid) = _left_gcd(den, num, tol, solve=False)
+        if resid <= tol * scale:
+            return den_r, num_r
     return den, num
 
 
 class LeftFraction:
     """Transfer function den^{-1} num.
 
-    Construction divides out the greatest common left divisor that the
-    Sylvester decision of solve_diophantine finds (see _cancel_gcld),
-    then normalizes den(0) = 1 by a left unit (monic when den(0) is
-    zero).  Neither step changes the fraction's value.  The fractions
-    that tf_left builds are coprime by construction and skip the
-    decision (see _coprime).
+    Construction takes the pair with the greatest common left divisor
+    divided out from the Sylvester decision of solve_diophantine, which
+    finds both in one pass (see _cancel_gcld), then normalizes
+    den(0) = 1 by a left unit (monic when den(0) is zero; see _unit).
+    Neither step changes the fraction's value.  The fractions that
+    tf_left and as_left_fraction build are coprime by construction and
+    skip the decision (see _coprime).
     """
 
     __slots__ = ("den", "num")
@@ -110,10 +97,7 @@ class LeftFraction:
         return frac
 
     def _normalize(self, den: QPoly, num: QPoly, tol: float):
-        c0 = den.at0()
-        unit = (c0.inverse() if c0.norm() > tol * max(1.0, den.norm_inf())
-                else _invert(den.lead(),
-                             "leading coefficient of the denominator"))
+        unit = _unit(den, tol, max(1.0, den.norm_inf()))
         self.den = scale_left(unit, den)
         self.num = scale_left(unit, num)
 
@@ -156,13 +140,15 @@ class RightFraction:
 
 def as_left_fraction(plant, tol: float = COEFF_TOL) -> LeftFraction:
     """The left fraction of a StateSpace (its minimal one), a
-    LeftFraction (itself) or a RightFraction (converted)."""
+    LeftFraction (itself) or a RightFraction (converted).  The converted
+    pair is right_to_left's kernel pair, coprime and normalized, so the
+    conversion makes one coprimeness decision."""
     if isinstance(plant, StateSpace):
         return tf_left(plant)
     if isinstance(plant, LeftFraction):
         return plant
     if isinstance(plant, RightFraction):
-        return LeftFraction(*right_to_left(plant.num, plant.den, tol))
+        return LeftFraction._coprime(*right_to_left(plant.num, plant.den, tol))
     raise TypeError(f"cannot interpret {type(plant).__name__} as a plant")
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllConditioned,
                   IllPosed, LeftFraction, NonCausalController, QPoly,
-                  Quaternion, QuatMatrix, SimilarityClass, StateSpace,
-                  Unsolvable, ZeroDivisor, ZeroRoot, build_c,
+                  Quaternion, QuatMatrix, RightFraction, SimilarityClass,
+                  StateSpace, Unsolvable, ZeroDivisor, ZeroRoot, build_c,
                   closed_loop_response_tfs, fraction_equal, markov,
                   place_poles, pmul, realize, right_eigenvalues,
                   right_zeros, series, solve_diophantine, tf_left,
                   tf_right)
+from qctl.xfer import as_left_fraction
 import gen
 
 PLANT = StateSpace(QuatMatrix([[ONE, I], [J, K]]),
@@ -261,3 +262,21 @@ def test_a_design_makes_one_coprimeness_decision(monkeypatch):
     ctrl = res.controller
     assert len(calls) == 2 and ctrl.kind == "right"
     assert res.controller is ctrl and len(calls) == 2
+
+
+def test_right_to_left_conversion_makes_one_decision(monkeypatch):
+    # the converted pair is the kernel pair, coprime and normalized, so
+    # the left fraction is not decided a second time
+    plants = [tf_right(gen.plant_system(gen.rng_for(seed, 109), n))
+              for seed, n in ((1, 2), (2, 8))]
+    plants.append(RightFraction(pmul(QPoly([1.0, I]), QPoly([2.0, J])),
+                                pmul(QPoly([1.0, K, 0.5]), QPoly([2.0, J]))))
+    calls = _count_left_gcd(monkeypatch)
+    for plant in plants:
+        del calls[:]
+        frac = as_left_fraction(plant)
+        assert len(calls) == 1
+        assert (frac.den.degree(), frac.num.degree()) == (plant.den.degree(),
+                                                          plant.num.degree())
+        assert (frac.den.at0() - ONE).norm() <= 1e-12
+        assert fraction_equal(frac, plant)

@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qctl import (I, J, K, LeftFraction, QPoly, Unsolvable, left_to_right,
-                  pmul, shift, solve_diophantine, tf_left)
+from qctl import (I, J, K, IllConditioned, LeftFraction, QPoly,
+                  RightFraction, Unsolvable, left_to_right, pmul, shift,
+                  solve_diophantine, tf_left)
 from qctl.qpoly import COEFF_TOL, _left_gcd, _sylvester_matrix
+import qctl.qpoly
 import gen
 import oracle
 
@@ -258,3 +260,103 @@ def test_coprime_decisions_skip_singular_values(monkeypatch):
     a, b, k = SINGULAR[0]
     assert solve_diophantine(a, b, b, mode="minimal_x").g.degree() == k
     assert calls
+
+
+def _common_pair(d, k, seed):
+    """(a, b) = (g a1, g b1) of degrees d and d - 1 sharing the exact
+    left factor g of degree k."""
+    rng = gen.rng_for(600 + d, seed)
+    g = gen.rand_poly(rng, k)
+    return (pmul(g, gen.rand_poly(rng, d - k)),
+            pmul(g, gen.rand_poly(rng, d - k - 1)))
+
+
+def _count(monkeypatch, owner, name):
+    """Record the first argument of every call of owner.name."""
+    fn, firsts = getattr(owner, name), []
+
+    def counted(first, *args, **kwargs):
+        firsts.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return firsts
+
+
+@pytest.mark.parametrize("d,k", [(8, 4), (16, 4), (32, 8)])
+def test_left_fraction_reads_the_reduced_pair_off_the_decision(
+        monkeypatch, d, k):
+    # the decision, the reduced solve, the annihilator and g: no
+    # quotient solves after them, and lstsq only on the two tall systems
+    pairs = [_common_pair(d, k, seed) for seed in range(3)]
+    solves = _count(monkeypatch, qctl.qpoly, "_sylvester_solve")
+    lstsq = _count(monkeypatch, np.linalg, "lstsq")
+    for a, b in pairs:
+        del solves[:], lstsq[:]
+        frac = LeftFraction(a, b)
+        assert (frac.den.degree(), frac.num.degree()) == (d - k, d - k - 1)
+        assert (len(solves), len(lstsq)) == (4, 2)
+        assert all(M.shape[0] > M.shape[1] for M in lstsq)
+
+
+@pytest.mark.parametrize("d,k", [(8, 4), (16, 4), (32, 8)])
+def test_shared_factor_runs_no_square_lstsq(monkeypatch, d, k):
+    a, b = _common_pair(d, k, 1)
+    c = pmul(a, gen.rand_poly(gen.rng_for(d, 994), d - 1))
+    lstsq = _count(monkeypatch, np.linalg, "lstsq")
+    sol = solve_diophantine(a, b, c, mode="minimal_x")
+    b_r, a_r = left_to_right(a, b)
+    assert sol.g.degree() == k
+    assert (b_r.degree(), a_r.degree()) == (d - k - 1, d - k)
+    assert lstsq and all(M.shape[0] != M.shape[1] for M in lstsq)
+
+
+def _miss(poly, product):
+    """The largest coefficient of poly - product relative to poly."""
+    return (poly - product).norm_inf() / poly.norm_inf()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_user_fractions_cancel_exact_common_factors(k):
+    for seed in range(1, 4):
+        rng = gen.rng_for(seed, 995 + k)
+        g = gen.rand_poly(rng, k)
+        a1, b1 = gen.rand_poly(rng, 4), gen.rand_poly(rng, 3)
+        a, b = pmul(g, a1), pmul(g, b1)
+        left = LeftFraction(a, b)
+        assert (left.den.degree(), left.num.degree()) == (4, 3), (k, seed)
+        # a = G den and b = G num with G = g u, u fixed by den(0) = 1
+        G = pmul(g, QPoly([g.at0().inverse() * a.at0()]))
+        assert _miss(a, pmul(G, left.den)) <= 1e-9
+        assert _miss(b, pmul(G, left.num)) <= 1e-9
+        # the right fraction of the conjugates: a' = den G', b' = num G'
+        ca, cb, cg = a.conjugate(), b.conjugate(), g.conjugate()
+        right = RightFraction(cb, ca)
+        assert (right.den.degree(), right.num.degree()) == (4, 3), (k, seed)
+        unit = right.den.lead().inverse() * ca.lead() * cg.lead().inverse()
+        G = pmul(QPoly([unit]), cg)
+        assert _miss(ca, pmul(right.den, G)) <= 1e-9
+        assert _miss(cb, pmul(right.num, G)) <= 1e-9
+
+
+def test_decision_below_the_rank_floor(monkeypatch):
+    # at tol = 1e-20 the singular values are counted against
+    # 2 rows eps, so the exact factor is found and the rank-deficient
+    # square matrix is never solved
+    a, b = _common_pair(8, 4, 2)
+    lstsq = _count(monkeypatch, np.linalg, "lstsq")
+    k, g, _, _, (a1, b1, resid) = _left_gcd(a, b, 1e-20, [QPoly.one()])
+    b_r, a_r = left_to_right(a, b, tol=1e-20)
+    assert k == g.degree() == 4 and resid <= 1e-12
+    assert (a1.degree(), b1.degree()) == (4, 3)
+    assert (b_r.degree(), a_r.degree()) == (3, 4)
+    assert all(M.shape[0] != M.shape[1] for M in lstsq)
+
+
+def test_singular_system_of_a_coprime_pair_raises():
+    # a = 1 and b = 10 - d are coprime, but x = c(10) = 1 + 1e40 and y
+    # = (c - x) / b: the square system is singular to working precision
+    # and has no solution to return
+    c = QPoly([1.0] + [0.0] * 39 + [1.0])
+    with pytest.raises(IllConditioned):
+        solve_diophantine(QPoly.one(), QPoly([10.0, -1.0]), c, "minimal_x")

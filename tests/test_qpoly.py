@@ -8,7 +8,7 @@ from qctl import (ONE, ZERO, I, J, K, BothZero, QPoly, Quaternion,
                   div_quotient_left, div_quotient_right, eval_left,
                   eval_right, gcld, gcrd, is_stable, left_to_right, pmul,
                   right_zeros)
-from qctl.qpoly import normalize, scale_left, shift
+from qctl.qpoly import _cluster_classes, _companion_roots, scale_left, shift
 import gen
 import oracle
 
@@ -63,12 +63,6 @@ def test_evaluation_sides_differ():
     assert eval_left(a, J) == -K
 
 
-def test_normalize_trims_only_when_asked():
-    a = QPoly([J, Quaternion(1e-13)])
-    assert normalize(a).degree() == 1
-    assert normalize(a, tol=1e-9).degree() == 0
-
-
 def test_division_right_exact_case():
     # d^2 = (d - i)(d + i) - 1
     a = QPoly([0.0, 0.0, 1.0])
@@ -100,8 +94,8 @@ def test_numerically_zero_leading_coefficient_raises_zero_divisor():
     # monic normalization of g
     with pytest.raises(ZeroDivisor):
         gcld(QPoly([0.0, 1e-13]), QPoly.zero())
-    # here the kernel cofactor a_r = [0, 1e-13] has neither an
-    # invertible constant term nor an invertible lead
+    # left_to_right trims the pair as the fraction constructors do, and
+    # this denominator trims to zero
     with pytest.raises(ZeroDivisor):
         left_to_right(QPoly([0.0, 1e-13]), QPoly.one())
 
@@ -273,6 +267,21 @@ def test_is_stable_on_products_of_spaced_real_factors(deg):
             a = pmul(a, QPoly([-z, 1.0]))
         assert is_stable(a) is True, seed
         assert is_stable(a, min(zeros) - 1.0 + 1e-6) is False, seed
+
+
+@pytest.mark.parametrize("deg", [1, 2, 4, 8, 12])
+def test_is_stable_reads_root_moduli_as_the_classes_would(deg):
+    # random coefficients give simple zero classes, each the pair of
+    # roots z, conj z of conj(a) a; clustering them changes no verdict
+    for seed in range(10):
+        a = gen.rand_poly(gen.rng_for(seed, 560 + deg), deg)
+        classes = _cluster_classes(_companion_roots(a)[2], 1e-6)
+        assert len(classes) == deg, seed
+        norms = sorted(math.hypot(re, im) for re, im in classes)
+        for tol in (1e-9, norms[0] - 1.0 - 1e-3, norms[0] - 1.0 + 1e-3,
+                    norms[-1] - 1.0 + 1e-3):
+            want = all(norm > 1.0 + tol for norm in norms)
+            assert is_stable(a, tol) is want, (seed, tol)
 
 
 def test_scale_left_right_zero_preserved():

@@ -458,16 +458,16 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     rank floor max(tol, 2 rows eps), certifies that no singular value is
     at or below the floor times the largest.  Only when it fails (or
     the LU meets an exact zero pivot) are the singular values computed
-    and counted against the same floor; a square M with any there, or
-    whose LU fails, gets no solution.  A full-rank M gets one step
-    of iterative refinement with M^-1.  That keeps the residual small
-    coefficient by coefficient, which the SVD-based lstsq does not once
-    the coefficients span decades, as those of plants from state space
-    do.  Each call serves every right-hand side in ``rhs``; with none, a
-    square M gets its rank decision only.
+    and counted against the same floor.  A square M whose LU fails or
+    with sigma_min <= 2 rows eps sigma_max gets no solution; any other
+    gets one step of iterative refinement with M^-1.  That keeps the
+    residual small coefficient by coefficient, which the SVD-based lstsq
+    does not once the coefficients span decades, as those of plants from
+    state space do.  Each call serves every right-hand side in ``rhs``;
+    with none, a square M gets its rank decision only.
 
     Returns (solutions, small, resid): solutions[r] lists the x_i for
-    rhs[r] (solutions is None for a rank-deficient square M); small
+    rhs[r] (solutions is None when a square M gets none); small
     counts the singular values of a square M at or below the floor times
     the largest, each quaternionic one twice (0 when the certificate
     holds; None when M is not square); resid[r] is the largest
@@ -480,7 +480,8 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     R *= row_scale[:, None]
     small, sol = None, None
     if M.shape[0] == M.shape[1]:
-        floor = max(tol, 2 * rows * np.finfo(float).eps)
+        rank_cut = 2 * rows * np.finfo(float).eps
+        floor = max(tol, rank_cut)
         try:
             X = np.linalg.solve(M, np.hstack([R, np.eye(len(M))[:, 0::2]]))
             sol, inv_even = X[:, :len(rhs)], X[:, len(rhs):]
@@ -495,10 +496,11 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
         if small is None:
             sv = np.linalg.svd(M, compute_uv=False)
             small = int((sv <= floor * sv[0]).sum())
-        if small or sol is None:
+            sol = sol if sv[-1] > rank_cut * sv[0] else None
+        if sol is None:
             return None, small, None
         if not rhs:
-            return [], 0, np.empty(0)
+            return [], small, np.empty(0)
         inv = np.empty_like(M)
         inv[:, 0::2] = inv_even
         inv[0::2, 1::2] = -inv_even[1::2].conj()
@@ -742,11 +744,11 @@ def _psi_class_checks(C, classes):
                np.sqrt(sq[1] + sq[2] + sq[3]).tolist())
 
 
-def _companion_roots(a: QPoly):
-    """(C, norms, roots): the (L, 4) components of a, their norms and
-    the roots of conj(a) a.  An a with a coefficient norm outside
-    [2^-511, 2^511], which would take conj(a) a out of the float range,
-    is first scaled exactly by a power of two."""
+def _candidate_classes(a: QPoly, cluster_tol: float):
+    """(C, norms, classes): the (L, 4) components of a, their norms and
+    the clustered classes (re, im) of the roots of conj(a) a.  An a with
+    a coefficient norm outside [2^-511, 2^511], which would take conj(a)
+    a out of the float range, is first scaled exactly by a power of two."""
     C = a._z.view(float)
     with np.errstate(all="ignore"):
         norms = _norm(C.T)
@@ -755,9 +757,10 @@ def _companion_roots(a: QPoly):
             C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
             norms = _norm(C.T)
         try:
-            return C, norms, np.roots(_companion_coeffs(C)[::-1])
+            roots = np.roots(_companion_coeffs(C)[::-1])
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(str(exc)) from exc
+        return C, norms, _cluster_classes(roots, cluster_tol)
 
 
 def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
@@ -782,8 +785,7 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     if a.is_zero():
         raise ValueError("right_zeros of the zero polynomial")
     cluster_tol = max(1e-6, 10.0 * tol)
-    C, norms, roots = _companion_roots(a)
-    classes = _cluster_classes(roots, cluster_tol)
+    C, norms, classes = _candidate_classes(a, cluster_tol)
     # overflow and division by zero only yield values that the decisions
     # below read as misses, so numpy need not warn about them
     with np.errstate(all="ignore"):
@@ -841,10 +843,9 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
 def is_stable(a: QPoly, tol: float = 1e-9) -> bool:
     """Stability in the backward-shift variable: every right zero
     (isolated or spherical) must have norm > 1 + tol.  Nonzero constants
-    are vacuously stable.  Each root of conj(a) a has the norm of a
-    class of right zeros, so the root moduli decide it, unclustered; a
-    real or repeated zero, split there by rounding, can read unstable
-    up to a few sqrt(eps) times its norm above 1 + tol."""
+    are vacuously stable.  Each class of a root of conj(a) a holds zeros
+    of its norm, so right_zeros' candidate classes decide it."""
     if a.is_zero():
         raise ValueError("stability of the zero polynomial is undefined")
-    return bool((np.abs(_companion_roots(a)[2]) > 1.0 + tol).all())
+    _, _, classes = _candidate_classes(a, max(1e-6, 10.0 * COEFF_TOL))
+    return all(math.hypot(re, im) > 1.0 + tol for re, im in classes)

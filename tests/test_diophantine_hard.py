@@ -353,10 +353,22 @@ def test_decision_below_the_rank_floor(monkeypatch):
     assert all(M.shape[0] != M.shape[1] for M in lstsq)
 
 
+@pytest.mark.parametrize("p", [10, 12, 14])
+def test_ill_conditioned_system_of_a_coprime_pair_is_solved(p):
+    # a = 1 and b = 10 - d are coprime and x = c(10) = 1 + 10^p: the
+    # square system has condition about 10^p, so singular values fall
+    # below tol, but deg a = 0 admits no common factor and the LU
+    # solution, of full rank to working precision, is kept
+    c = QPoly([1.0] + [0.0] * (p - 1) + [1.0])
+    sol = solve_diophantine(QPoly.one(), QPoly([10.0, -1.0]), c, "minimal_x")
+    assert sol.x.degree() == 0
+    assert abs(sol.x.coeffs[0] - (1.0 + 10.0 ** p)) <= 1e-12 * 10.0 ** p
+
+
 def test_singular_system_of_a_coprime_pair_raises():
-    # a = 1 and b = 10 - d are coprime, but x = c(10) = 1 + 1e40 and y
-    # = (c - x) / b: the square system is singular to working precision
-    # and has no solution to return
+    # as above with x = 1 + 1e40: the square system is singular to
+    # working precision and has no solution to return (a least-squares
+    # one misses c by 5)
     c = QPoly([1.0] + [0.0] * 39 + [1.0])
     with pytest.raises(IllConditioned):
         solve_diophantine(QPoly.one(), QPoly([10.0, -1.0]), c, "minimal_x")

@@ -105,8 +105,8 @@ def solve_diophantine(a: QPoly, b: QPoly, c: QPoly,
         raise ValueError(f"unknown mode {mode!r}")
     if a.is_zero() and b.is_zero():
         raise BothZero("a x + b y = c with a = b = 0 is undefined")
-    scale = max(1.0, a.norm_inf(), b.norm_inf(), c.norm_inf())
     ab_scale = max(1.0, a.norm_inf(), b.norm_inf())
+    scale = max(ab_scale, c.norm_inf())
     a, b = a.trim(tol, ab_scale), b.trim(tol, ab_scale)
     if a.is_zero() or b.is_zero():
         side = b if a.is_zero() else a

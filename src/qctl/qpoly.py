@@ -25,6 +25,7 @@ default 1e-9.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -474,17 +475,20 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     coefficient norm of the residual sum_i p_i x_i - r.
     """
     M, row_scale, col_scale = _sylvester_matrix(blocks, rows)
-    R = np.zeros((2 * rows, len(rhs)), dtype=complex)
+    square, nr = M.shape[0] == M.shape[1], len(rhs)
+    RI = np.zeros((2 * rows, nr + rows * square), dtype=complex)
     for k, r in enumerate(rhs):
-        R[:2 * len(r._z), k] = _flip_q2(r._z).ravel()
+        RI[:2 * len(r._z), k] = _flip_q2(r._z).ravel()
+    R = RI[:, :nr]
     R *= row_scale[:, None]
     small, sol = None, None
-    if M.shape[0] == M.shape[1]:
+    if square:
+        RI[range(0, 2 * rows, 2), range(nr, nr + rows)] = 1.0
         rank_cut = 2 * rows * np.finfo(float).eps
         floor = max(tol, rank_cut)
         try:
-            X = np.linalg.solve(M, np.hstack([R, np.eye(len(M))[:, 0::2]]))
-            sol, inv_even = X[:, :len(rhs)], X[:, len(rhs):]
+            X = np.linalg.solve(M, RI)
+            sol, inv_even = X[:, :nr], X[:, nr:]
             cut = 2 * floor * math.sqrt(np.vdot(M, M).real)
             # an M^-1 too large to square is far from certified: its
             # norm reads inf or nan, and the test fails
@@ -512,9 +516,9 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     resid = np.sqrt(np.abs(res[0::2]) ** 2
                     + np.abs(res[1::2]) ** 2).max(axis=0)
     sol = np.ascontiguousarray((sol * col_scale[:, None]).T)
-    bounds = np.cumsum([2 * n for _, n in blocks])[:-1]
-    return ([[_wrap(_flip_q2(x.reshape(-1, 2))) for x in np.split(s, bounds)]
-             for s in sol], small, resid)
+    edges = [0, *itertools.accumulate(2 * n for _, n in blocks)]
+    return ([[_wrap(_flip_q2(s[i:j].reshape(-1, 2)))
+              for i, j in zip(edges, edges[1:])] for s in sol], small, resid)
 
 
 def _flip_q2(z):

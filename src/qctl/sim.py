@@ -1,7 +1,7 @@
 """Time-domain simulation of quaternionic state-space systems.
 
-Every simulation, and xfer.markov, runs on one propagation kernel over
-the complex adjoint (see qmat.complex_adjoint).  A system is packed
+Every simulation, xfer.markov and tf_left run on one propagation kernel
+over the complex adjoint (see qmat.complex_adjoint).  A system is packed
 once per call into the adjoint of its block pair array [[F, G], [H, J]]
 (see _blocks and qmat), with rows and columns regrouped block by block:
 
@@ -111,9 +111,10 @@ def _step_matrix(ss) -> np.ndarray:
     return _adjoint(_blocks(ss))[np.ix_(order, order)]
 
 
-def _propagate(step, x: np.ndarray, inputs: np.ndarray):
-    """Outputs y(0..steps-1) of the adjoint step matrix ``step`` from
-    the adjoint state ``x`` under the adjoint inputs, one row per step.
+def _propagate(step, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The (steps, 2) pair array of the outputs y(0..steps-1) of the
+    adjoint step matrix ``step`` from the adjoint state ``x`` under the
+    adjoint inputs, one row per step.
 
     Row k of ``cols`` holds the state and input columns of step k; the
     state part of row k + 1 is one matrix-vector product."""
@@ -132,13 +133,19 @@ def _propagate(step, x: np.ndarray, inputs: np.ndarray):
         out = cols @ step[n2:].T
     # y = y1 + y2 j back from its column (y1, -conj y2)
     out[:, 1] = -out[:, 1].conj()
-    return [Quaternion(*c) for c in out.view(float).tolist()]
+    return out
 
 
-def _impulse_response(ss, steps: int):
+def _quaternions(pairs: np.ndarray):
+    """The rows of a pair array as a list of Quaternions."""
+    return [Quaternion(*c) for c in pairs.view(float).tolist()]
+
+
+def _impulse_response(ss, steps: int) -> np.ndarray:
     """y(0..steps-1) from x = 0 under a unit impulse: J, H G, H F G, ..."""
-    return _propagate(_step_matrix(ss), np.zeros(2 * ss.n, dtype=complex),
-                      _input_columns([1.0], steps))
+    inputs = np.zeros((steps, 2), dtype=complex)
+    inputs[:1, 0] = 1.0
+    return _propagate(_step_matrix(ss), np.zeros(2 * ss.n, complex), inputs)
 
 
 def _check_steps(steps: int):
@@ -155,7 +162,8 @@ def simulate(ss, x0, u, steps: int):
     """
     _check_steps(steps)
     x = _state_column(x0, ss.n)
-    return _propagate(_step_matrix(ss), x, _input_columns(u, steps))
+    return _quaternions(_propagate(_step_matrix(ss), x,
+                                   _input_columns(u, steps)))
 
 
 def simulate_feedback(plant, controller, x0_plant, x0_ctrl, v, w,
@@ -177,8 +185,8 @@ def simulate_feedback(plant, controller, x0_plant, x0_ctrl, v, w,
     x = np.concatenate([_state_column(x0_plant, plant.n),
                         _state_column(x0_ctrl, controller.n)])
     inputs = np.hstack([_input_columns(v, steps), _input_columns(w, steps)])
-    return _propagate(_loop_matrix(plant, controller, gain.inverse()), x,
-                      inputs)
+    return _quaternions(_propagate(
+        _loop_matrix(plant, controller, gain.inverse()), x, inputs))
 
 
 def _loop_matrix(plant, controller, gain_inv: Quaternion) -> np.ndarray:

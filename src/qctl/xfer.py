@@ -19,7 +19,7 @@ from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
 from .qpoly import (_CONJ, COEFF_TOL, QPoly, _left_gcd, _trim_pair, _unit,
                     _wrap, left_to_right, mul, right_to_left, right_zeros,
                     scale_left, scale_right)
-from .sim import _blocks, _impulse_response
+from .sim import _blocks, _impulse_response, _quaternions
 
 
 class StateSpace:
@@ -154,8 +154,8 @@ def as_left_fraction(plant, tol: float = COEFF_TOL) -> LeftFraction:
 
 def markov(sys: StateSpace, count: int):
     """First ``count`` Markov parameters S_0 = J, S_k = H F^{k-1} G,
-    the system's impulse response from x = 0."""
-    return _impulse_response(sys, max(count, 0))
+    the system's impulse response from x = 0, as Quaternions."""
+    return _quaternions(_impulse_response(sys, max(count, 0)))
 
 
 def series(frac, count: int):
@@ -174,25 +174,15 @@ def series(frac, count: int):
     return markov(ss if frac.kind == "left" else _dual(ss), count)
 
 
-def _first_dependence(A, rows, tol: float):
-    """First left dependence among the blocks adj(r F^k) = rows A^k, for
-    ``rows`` = adj(r) (2 x N) and A = adj(F).  For m = 0, 1, ..., N/2,
-    solves sum_i a_i1 B[0] + a_i2 B[1] = -(first row of block m) over the
-    blocks B = m-1, ..., 0 in least squares with unit-norm rows, that is
-    r F^m = -sum_i a_i r F^(m-i) with a_i = a_i1 + a_i2 j, and returns
-    (x, stacked blocks m-1, ..., 0) once the residual is at most tol
-    times the norm of that row; a_i's pair is x[2i-2:2i].
-
-    A step whose least-squares residual cannot meet that test is
-    skipped unsolved.  One QR factorization of all N/2 + 1 blocks,
-    each scaled by its largest entry so that high powers stay in range,
-    gives |R[2m, 2m]|, the distance of block m's first row from the
-    span of blocks 0, ..., m-1, which no least-squares residual
-    undercuts; the solve runs only where that distance is at most
-    100 tol times the row's norm, and at m = N/2, where R has no such
-    entry.  An exactly zero block has distance 0.  The solve itself
-    runs on the unscaled blocks rows A^k, so x and the stacked blocks
-    are those of solving at every step."""
+def _screen(A, rows, tol: float):
+    """skip[m], m = 0, ..., N/2: whether the search of _first_dependence
+    cannot stop at step m.  One QR factorization of all N/2 + 1 blocks
+    rows A^k, each scaled by its largest entry so that high powers stay
+    in range, gives |R[2m, 2m]|, the distance of block m's first row
+    from the span of blocks 0, ..., m-1, which no least-squares residual
+    undercuts; skip[m] holds where it exceeds 100 tol times the row's
+    norm (so the blocks span C^N when every m < N/2 is skipped).  An
+    exactly zero block has distance 0; skip[N/2] is false."""
     n = A.shape[0]
     screen = np.empty((n + 2, n), dtype=complex)
     zero = np.zeros(n // 2 + 1, dtype=bool)
@@ -204,17 +194,31 @@ def _first_dependence(A, rows, tol: float):
         block = screen[2 * m:2 * m + 2] @ A
     dist = np.abs(np.diagonal(np.linalg.qr(screen.T, mode="r"))[::2])
     dist[zero[:-1]] = 0.0
-    skip = [*(dist > 100 * tol * np.linalg.norm(screen[:n:2], axis=1)),
+    return [*(dist > 100 * tol * np.linalg.norm(screen[:n:2], axis=1)),
             False]
+
+
+def _first_dependence(A, rows, tol: float):
+    """First left dependence among the blocks adj(r F^k) = rows A^k, for
+    ``rows`` = adj(r) (2 x N) and A = adj(F).  For m = 0, 1, ..., N/2,
+    solves sum_i a_i1 B[0] + a_i2 B[1] = -(first row of block m) over the
+    blocks B = m-1, ..., 0 in least squares with unit-norm rows, that is
+    r F^m = -sum_i a_i r F^(m-i) with a_i = a_i1 + a_i2 j, and returns
+    (x, stacked blocks m-1, ..., 0) once the residual is at most tol
+    times the norm of that row; a_i's pair is x[2i-2:2i].
+
+    The steps _screen skips are not solved; the others solve on the
+    unscaled blocks, so x and the blocks are those of solving every step."""
+    skip = _screen(A, rows, tol)
     blocks = [rows]
-    for m in range(n // 2 + 1):
+    for m in range(len(skip)):
         if skip[m]:
             continue
         while len(blocks) <= m:
             blocks.append(blocks[-1] @ A)
         target, x = blocks[m][0], np.empty(0, dtype=complex)
         earlier = (np.vstack(blocks[m - 1::-1]) if m
-                   else np.empty((0, n), dtype=complex))
+                   else np.empty((0, len(A)), dtype=complex))
         resid = target
         if m:
             w = 1.0 / np.linalg.norm(earlier, axis=1)
@@ -228,19 +232,22 @@ def _first_dependence(A, rows, tol: float):
 
 def _annihilator(sys: StateSpace, tol: float):
     """(a, b), a(0) = 1, with a^{-1} b the minimal left fraction.  The
-    rows H F^k are restricted to the controllable subspace (spanned by
-    the dual rows G^H (F^H)^k), where their first dependence, at index
+    rows H F^k are restricted to the controllable subspace, spanned by
+    the dual rows G^H (F^H)^k, where their first dependence, at index
     m, gives a; b is a S cut after d^m, S the Markov parameters.  The
     cut is at m, not at deg a: when F is nilpotent on that subspace the
-    top coefficients of a can be exact zeros while b's are not."""
-    F = complex_adjoint(sys.F)
-    _, ctrb = _first_dependence(F.conj().T, complex_adjoint(sys.G).conj().T,
-                                tol)
-    Q = np.linalg.qr(ctrb.conj().T)[0]
-    x, _ = _first_dependence(Q.conj().T @ F @ Q,
-                             complex_adjoint(sys.H) @ Q, tol)
+    top coefficients of a can be exact zeros while b's are not.  When
+    _screen skips every dual step below N/2, that subspace is C^N, and
+    the rows are searched with no dual solve and no projection, a
+    unitary change of basis that changes no residual test."""
+    F, H = complex_adjoint(sys.F), complex_adjoint(sys.H)
+    dual = F.conj().T, complex_adjoint(sys.G).conj().T
+    if not all(_screen(*dual, tol)[:-1]):
+        Q = np.linalg.qr(_first_dependence(*dual, tol)[1].conj().T)[0]
+        F, H = Q.conj().T @ F @ Q, H @ Q
+    x, _ = _first_dependence(F, H, tol)
     a = _wrap(np.vstack([[1.0, 0.0], x.reshape(-1, 2)]))
-    b = mul(a, QPoly(markov(sys, sys.n + 1)))
+    b = mul(a, _wrap(_impulse_response(sys, sys.n + 1)))
     return a, _wrap(b._z[:len(x) // 2 + 1])
 
 
@@ -250,7 +257,8 @@ def tf_left(sys: StateSpace, tol: float = 1e-7) -> LeftFraction:
     lies in the left span of H F^(m-1), ..., H: its least-squares
     residual on the complex adjoint is at most ``tol`` times its norm.
     A QR screen of all the rows skips the steps whose distance from
-    that span already fails the test (see _first_dependence).  The pair
+    that span already fails the test; the same screen of the dual rows
+    shows when that subspace is the whole space (see _screen).  The pair
     is coprime by construction, so the fraction is trimmed by COEFF_TOL
     and normalized to den(0) = 1 with no coprimeness decision."""
     return LeftFraction._coprime(*_annihilator(sys, tol))

@@ -291,3 +291,77 @@ def test_low_degree_denominator_over_a_longer_numerator():
             if got.den.degree() != 1 or not err <= MARKOV_TOL:
                 misses.append((seed, fn.__name__, got.den.degree(), err))
     assert not misses
+
+
+def _count_dependence_calls(monkeypatch):
+    """Count the _first_dependence calls; the returned list grows by one
+    per call."""
+    search, calls = xfer._first_dependence, []
+
+    def counted(A, rows, tol):
+        calls.append(A.shape[0])
+        return search(A, rows, tol)
+
+    monkeypatch.setattr(xfer, "_first_dependence", counted)
+    return calls
+
+
+def test_controllable_systems_skip_the_projection(monkeypatch):
+    # a plant (and its dual) the screen shows controllable is searched
+    # in one pass; a system with states the input never reaches (for
+    # tf_right: that the output never sees) gets the dual pass and the
+    # projected one, and still reduces
+    calls = _count_dependence_calls(monkeypatch)
+    cases = [(gen.plant_system(gen.rng_for(seed, 100 + n), n), fn, n, 1)
+             for n in range(1, 9) for seed in SEEDS
+             for fn in (tf_left, tf_right)]
+    cases += [(_non_minimal(n, k, seed, fn is tf_left), fn, n, 2)
+              for n, k in [(2, 1), (4, 2), (6, 3), (8, 4)]
+              for seed in SEEDS for fn in (tf_left, tf_right)]
+    misses = []
+    for ss, fn, n, passes in cases:
+        calls.clear()
+        frac = fn(ss)
+        err = _markov_err(ss, frac)
+        if (len(calls) != passes or frac.den.degree() != n
+                or not err <= MARKOV_TOL):
+            misses.append((ss.n, fn.__name__, len(calls), err))
+    assert not misses
+
+
+def _rel_diff(p, q):
+    return (p - q).norm_inf() / max(1.0, q.norm_inf())
+
+
+def test_unprojected_search_matches_the_projected_one(monkeypatch):
+    # the projected path, forced by a screen that skips no step, against
+    # the default path, which skips the projection on these plants
+    fast = {}
+    for n in range(1, 25):
+        for seed in SEEDS:
+            ss = gen.plant_system(gen.rng_for(seed, 100 + n), n)
+            for fn in (tf_left, tf_right):
+                fast[n, seed, fn] = ss, fn(ss)
+    monkeypatch.setattr(xfer, "_screen",
+                        lambda A, rows, tol: [False] * (A.shape[0] // 2 + 1))
+    misses = []
+    for (n, seed, fn), (ss, want) in fast.items():
+        got = fn(ss)
+        if not (got.den.degree() == want.den.degree()
+                and _rel_diff(got.den, want.den) <= 1e-8
+                and _rel_diff(got.num, want.num) <= 1e-8):
+            misses.append((n, seed, fn.__name__))
+    assert not misses
+
+
+def test_annihilator_numerator_is_the_cut_markov_product():
+    # b is read off the pair array of the impulse response; it must be
+    # the product with the Markov parameters as Quaternions, bit for bit
+    systems = [gen.plant_system(gen.rng_for(seed, 100 + n), n)
+               for n in (1, 2, 4, 8) for seed in SEEDS]
+    systems += [_non_minimal(4, 2, 1, True), ONE_DELAY] + _fir_systems()
+    for ss in systems:
+        for s in (ss, xfer._dual(ss)):
+            a, b = xfer._annihilator(s, 1e-7)
+            want = pmul(a, QPoly(markov(s, s.n + 1)))
+            assert np.array_equal(b._z, want._z[:len(b._z)])

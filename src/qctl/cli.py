@@ -294,12 +294,18 @@ def _csv_text(ys) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _norms(ys):
+    """|y| of each output, with no overflow below the float range (the
+    squares of Quaternion.norm pass it above ~1.3e154)."""
+    return [math.hypot(*y.components()) for y in ys]
+
+
 def _svg_text(ys) -> str:
     width, height = 800, 480
     ml, mr, mt, mb = 60, 150, 20, 40
     plot_w, plot_h = width - ml - mr, height - mt - mb
     series = [[y.w for y in ys], [y.x for y in ys], [y.y for y in ys],
-              [y.z for y in ys], [y.norm() for y in ys]]
+              [y.z for y in ys], _norms(ys)]
     lo = min((min(s) for s in series if s), default=-1.0)
     hi = max((max(s) for s in series if s), default=1.0)
     if hi - lo < 1e-12:
@@ -371,9 +377,9 @@ def _cmd_simulate(args, out):
         x0c = _wrap_matrix(both._z[plant.n:])
         ys = simulate_feedback(plant, ctrl, x0p, x0c, None, None,
                                args.steps)
-    norms = [y.norm() for y in ys]
-    bad = next((k for k, v in enumerate(norms) if not math.isfinite(v)),
-               None)
+    norms = _norms(ys)
+    bad = next((k for k, y in enumerate(ys)
+                if not all(map(math.isfinite, y.components()))), None)
     if bad is not None:
         raise SimulationDiverged(
             f"output at step k={bad} is not finite (|y| = {norms[bad]})")

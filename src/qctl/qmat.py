@@ -13,10 +13,12 @@ n x m quaternionic matrix is 2n x 2m complex.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import DimensionMismatch, EigensolverFailure
-from .quat import Quaternion, SimilarityClass, _coerce
+from .quat import Quaternion, SimilarityClass, _coerce, _from_floats
 
 
 class QuatMatrix:
@@ -30,16 +32,19 @@ class QuatMatrix:
         ``cols`` is only needed for matrices with zero rows, where the
         column count cannot be inferred.
         """
-        rows = [[_coerce(e).components() for e in row] for row in entries]
+        rows = list(map(list, entries))
+        widths = list(map(len, rows))
+        comps = np.fromiter(chain.from_iterable(map(
+            Quaternion.components, map(_coerce, chain.from_iterable(rows)))),
+            float, 4 * sum(widths))
         if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            width = widths[0]
+            if widths.count(width) != len(widths):
                 raise DimensionMismatch("ragged rows")
             if cols is not None and cols != width:
                 raise DimensionMismatch("cols does not match row width")
             cols = width
-        comps = np.array(rows, dtype=float).reshape(len(rows), cols or 0, 4)
-        _wrap(comps.view(complex), self)
+        _wrap(comps.reshape(len(rows), cols or 0, 4).view(complex), self)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QuatMatrix":
@@ -53,12 +58,17 @@ class QuatMatrix:
     def data(self):
         """The entries as a tuple of rows of Quaternions, built once."""
         if self._data is None:
-            self._data = tuple(tuple(Quaternion(*e) for e in row)
+            self._data = tuple(tuple(map(_from_floats, row))
                                for row in self._z.view(float).tolist())
         return self._data
 
     def __getitem__(self, key):
-        return Quaternion(*self._z[key].view(float).tolist())
+        """The entry at [i, j]; a key that picks no single entry raises
+        TypeError."""
+        entry = self._z[key]
+        if entry.shape != (2,):
+            raise TypeError("index one entry of a QuatMatrix, as [i, j]")
+        return _from_floats(entry.view(float).tolist())
 
     def __eq__(self, other):
         if not isinstance(other, QuatMatrix):

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (BothZero, EigensolverFailure, IllConditioned,
                      Unsolvable, ZeroDivisor)
 from .quat import (ZERO_THRESHOLD, Quaternion, SimilarityClass, _coerce,
-                   left_mul_matrix, right_mul_matrix)
+                   _from_floats, left_mul_matrix, right_mul_matrix)
 
 COEFF_TOL = 1e-9
 
@@ -82,7 +82,7 @@ class QPoly:
     @property
     def coeffs(self):
         """The coefficients as a tuple of Quaternions."""
-        return tuple(Quaternion(*c) for c in self._z.view(float).tolist())
+        return tuple(map(_from_floats, self._z.view(float).tolist()))
 
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""

@@ -126,6 +126,18 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
+_new = object.__new__
+
+
+def _from_floats(comps) -> Quaternion:
+    """The Quaternion with components ``comps``, four Python floats in
+    w, x, y, z order, stored as they are: no float() coercion.  This is
+    the edge from a pair array, whose .tolist() gives floats already."""
+    q = _new(Quaternion)
+    q.w, q.x, q.y, q.z = comps
+    return q
+
+
 def _coerce(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value

@@ -18,6 +18,15 @@ and an input of several scalars (reference and disturbance) are the
 concatenations of the blocks' columns.  The library keeps IEEE
 semantics: a diverging run returns inf or nan outputs.
 
+A call converts once at each edge.  Its input sequences are read
+through the QuatMatrix constructor, one pass over the coerced entries'
+components into one array, and written side by side into one array of
+adjoint input columns.  The step matrix is regrouped by index lists,
+and the loop matrix is filled block by block into one array.  The
+outputs come back as Quaternions built straight from the Python floats
+of the output array's .tolist(), with no second coercion.  So the
+outputs are those of the plain per-entry conversions, bit for bit.
+
 Random initial states come from a self-contained 64-bit linear
 congruential generator so runs are reproducible across platforms:
 
@@ -33,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, IllPosedLoop
-from .quat import Quaternion
-from .qmat import QuatMatrix, _adjoint, _wrap, complex_adjoint
+from .quat import Quaternion, _from_floats
+from .qmat import QuatMatrix, _adjoint, _wrap
 
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -79,14 +88,15 @@ def _state_column(x, n: int) -> np.ndarray:
     return _adjoint(col._z)[:, 0]
 
 
-def _input_columns(seq, steps: int) -> np.ndarray:
-    """The adjoint columns (u1, -conj u2) of u(0..steps-1), one row per
-    step; ``seq`` may be None (zero input) and is zero-extended past its
-    end."""
-    head = QuatMatrix([[] if seq is None else seq[:steps]])._z[0]
-    cols = np.zeros((steps, 2), dtype=complex)
-    cols[:len(head)] = head
-    cols[:, 1] = -cols[:, 1].conj()
+def _input_columns(seqs, steps: int) -> np.ndarray:
+    """The adjoint columns (u1, -conj u2) of u(0..steps-1) for each input
+    sequence u in ``seqs``, side by side, one row per step; a sequence
+    may be None (zero input) and is zero-extended past its end."""
+    cols = np.zeros((steps, 2 * len(seqs)), dtype=complex)
+    for i, seq in enumerate(seqs):
+        head = QuatMatrix([[] if seq is None else seq[:steps]])._z[0]
+        cols[:len(head), 2 * i:2 * i + 2] = head
+    cols[:, 1::2] = -cols[:, 1::2].conj()
     return cols
 
 
@@ -107,8 +117,8 @@ def _step_matrix(ss) -> np.ndarray:
     n = ss.n
     # the adjoint lists the F, G rows and columns first and the H, J
     # ones last in each half; regroup the halves block by block
-    order = np.r_[0:n, n + 1:2 * n + 1, n, 2 * n + 1]
-    return _adjoint(_blocks(ss))[np.ix_(order, order)]
+    order = [*range(n), *range(n + 1, 2 * n + 1), n, 2 * n + 1]
+    return _adjoint(_blocks(ss)).take(order, 0).take(order, 1)
 
 
 def _propagate(step, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -124,12 +134,12 @@ def _propagate(step, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     cols[:, n2:] = inputs
     if steps:
         cols[0, :n2] = x
-    advance = step[:n2]
+    advance = step[:n2].dot
     # IEEE semantics, as in scalar arithmetic: a diverging run yields
     # inf and nan without numpy's floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps - 1):
-            advance.dot(cols[k], out=cols[k + 1, :n2])
+        for now, state in zip(cols, cols[1:, :n2]):
+            advance(now, out=state)
         out = cols @ step[n2:].T
     # y = y1 + y2 j back from its column (y1, -conj y2)
     out[:, 1] = -out[:, 1].conj()
@@ -138,7 +148,7 @@ def _propagate(step, x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 def _quaternions(pairs: np.ndarray):
     """The rows of a pair array as a list of Quaternions."""
-    return [Quaternion(*c) for c in pairs.view(float).tolist()]
+    return list(map(_from_floats, pairs.view(float).tolist()))
 
 
 def _impulse_response(ss, steps: int) -> np.ndarray:
@@ -163,7 +173,7 @@ def simulate(ss, x0, u, steps: int):
     _check_steps(steps)
     x = _state_column(x0, ss.n)
     return _quaternions(_propagate(_step_matrix(ss), x,
-                                   _input_columns(u, steps)))
+                                   _input_columns([u], steps)))
 
 
 def simulate_feedback(plant, controller, x0_plant, x0_ctrl, v, w,
@@ -184,9 +194,9 @@ def simulate_feedback(plant, controller, x0_plant, x0_ctrl, v, w,
     _check_steps(steps)
     x = np.concatenate([_state_column(x0_plant, plant.n),
                         _state_column(x0_ctrl, controller.n)])
-    inputs = np.hstack([_input_columns(v, steps), _input_columns(w, steps)])
     return _quaternions(_propagate(
-        _loop_matrix(plant, controller, gain.inverse()), x, inputs))
+        _loop_matrix(plant, controller, gain.inverse()), x,
+        _input_columns([v, w], steps)))
 
 
 def _loop_matrix(plant, controller, gain_inv: Quaternion) -> np.ndarray:
@@ -196,13 +206,22 @@ def _loop_matrix(plant, controller, gain_inv: Quaternion) -> np.ndarray:
     p, c = 2 * plant.n, 2 * controller.n
     Fp, Gp, Hp, Jp = sp[:p, :p], sp[:p, p:], sp[p:, :p], sp[p:, p:]
     Fc, Gc, Hc, Jc = sc[:c, :c], sc[:c, c:], sc[c:, :c], sc[c:, c:]
-    g = complex_adjoint(QuatMatrix([[gain_inv]]))
+    g1, g2 = complex(gain_inv.w, gain_inv.x), complex(gain_inv.y, gain_inv.z)
+    g = np.array([[g1, g2], [-g2.conjugate(), g1.conjugate()]])
+    # rows x_p(k+1), x_c(k+1), y(k); columns x_p, x_c, v, w
+    out = np.empty((p + c + 2, p + c + 4), dtype=complex)
+    xp, xc, y = out[:p], out[p:p + c], out[p + c:]
     gJp = g @ Jp
-    y = np.hstack([g @ Hp, -gJp @ Hc, gJp, g])
-    u = np.hstack([np.zeros((2, p)), -Hc, np.eye(2), np.zeros((2, 2))])
+    y[:, :p] = g @ Hp
+    y[:, p:p + c] = -gJp @ Hc
+    y[:, p + c:p + c + 2] = gJp
+    y[:, p + c + 2:] = g
+    u = np.zeros((2, p + c + 4), dtype=complex)
+    u[:, p:p + c] = -Hc
+    u[:, p + c:p + c + 2] = np.eye(2)
     u -= Jc @ y
-    xp = Gp @ u
+    xp[:] = Gp @ u
     xp[:, :p] += Fp
-    xc = Gc @ y
+    xc[:] = Gc @ y
     xc[:, p:p + c] += Fc
-    return np.vstack([xp, xc, y])
+    return out

@@ -198,7 +198,7 @@ def _screen(A, rows, tol: float):
             False]
 
 
-def _first_dependence(A, rows, tol: float):
+def _first_dependence(A, rows, tol: float, skip):
     """First left dependence among the blocks adj(r F^k) = rows A^k, for
     ``rows`` = adj(r) (2 x N) and A = adj(F).  For m = 0, 1, ..., N/2,
     solves sum_i a_i1 B[0] + a_i2 B[1] = -(first row of block m) over the
@@ -207,9 +207,9 @@ def _first_dependence(A, rows, tol: float):
     (x, stacked blocks m-1, ..., 0) once the residual is at most tol
     times the norm of that row; a_i's pair is x[2i-2:2i].
 
-    The steps _screen skips are not solved; the others solve on the
-    unscaled blocks, so x and the blocks are those of solving every step."""
-    skip = _screen(A, rows, tol)
+    ``skip`` is _screen(A, rows, tol).  The steps it skips are not
+    solved; the others solve on the unscaled blocks, so x and the blocks
+    are those of solving every step."""
     blocks = [rows]
     for m in range(len(skip)):
         if skip[m]:
@@ -242,10 +242,11 @@ def _annihilator(sys: StateSpace, tol: float):
     unitary change of basis that changes no residual test."""
     F, H = complex_adjoint(sys.F), complex_adjoint(sys.H)
     dual = F.conj().T, complex_adjoint(sys.G).conj().T
-    if not all(_screen(*dual, tol)[:-1]):
-        Q = np.linalg.qr(_first_dependence(*dual, tol)[1].conj().T)[0]
+    skip = _screen(*dual, tol)
+    if not all(skip[:-1]):
+        Q = np.linalg.qr(_first_dependence(*dual, tol, skip)[1].conj().T)[0]
         F, H = Q.conj().T @ F @ Q, H @ Q
-    x, _ = _first_dependence(F, H, tol)
+    x, _ = _first_dependence(F, H, tol, _screen(F, H, tol))
     a = _wrap(np.vstack([[1.0, 0.0], x.reshape(-1, 2)]))
     b = mul(a, _wrap(_impulse_response(sys, sys.n + 1)))
     return a, _wrap(b._z[:len(x) // 2 + 1])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from qctl import (ONE, ZERO, I, J, K, IllConditioned, LeftFraction,
                   ParseError, QPoly, Quaternion, QuatMatrix, StateSpace,
                   place_poles, right_zeros, tf_left)
 from qctl.cli import main, parse_roots
+from qctl.sim import random_state
 from qctl.serialize import (detect, dump_document, fraction_from_doc,
                             load_document, matrix_from_doc, poly_from_doc,
                             quat_from_doc, system_from_doc, to_doc)
@@ -247,7 +249,7 @@ def test_cli_simulate_feedback_loop(tmp_path, capsys):
 
 
 def test_cli_simulate_diverging_run_exits_2(tmp_path, capsys):
-    # |10 + i|^k passes the float range at k = 154
+    # the components of (10 + i)^k x0 pass the float range at k = 308
     path = _write(tmp_path, "grow.json", to_doc(StateSpace(
         QuatMatrix([[Quaternion(10.0, 1.0)]]), QuatMatrix([[ONE]]),
         QuatMatrix([[ONE]]), ZERO)))
@@ -257,10 +259,30 @@ def test_cli_simulate_diverging_run_exits_2(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "SimulationDiverged" in captured.err
-    assert "k=154" in captured.err
+    assert "k=308" in captured.err
     assert captured.out == ""
     assert not csv_path.exists() and not svg_path.exists()
     assert main(["simulate", "--system", path, "--steps", "150"]) == 0
+    # |y| passes 1.3e154 at k = 154, where its square overflows, but the
+    # run is finite up to k = 307
+    assert main(["simulate", "--system", path, "--steps", "308"]) == 0
+
+
+def test_cli_simulate_large_finite_run_exits_0(tmp_path, capsys):
+    # |y(0)| = 1e200 |x0|: its square overflows, its components do not
+    path = _write(tmp_path, "large.json", to_doc(StateSpace(
+        QuatMatrix([[Quaternion(0.5)]]), QuatMatrix([[ONE]]),
+        QuatMatrix([[Quaternion(1e200)]]), ZERO)))
+    svg_path = tmp_path / "out.svg"
+    assert main(["simulate", "--system", path, "--steps", "3",
+                 "--svg", str(svg_path)]) == 0
+    out = capsys.readouterr().out
+    want = 1e200 * math.hypot(*random_state(1, 0)[0, 0].components())
+    peak = float(out.split("peak |y|: ")[1].split()[0])
+    final = float(out.split("final |y|: ")[1].split()[0])
+    assert abs(peak - want) <= 1e-4 * want
+    assert abs(final - 0.25 * want) <= 1e-4 * want
+    assert "inf" not in svg_path.read_text()
 
 
 def _csv_of_process(tmp_path, name, systems):

@@ -152,13 +152,13 @@ def _compare_with_reference(monkeypatch):
     returned list collects the calls whose outputs differ."""
     screened, misses = xfer._first_dependence, []
 
-    def both(A, rows, tol):
+    def both(A, rows, tol, skip):
         try:
             want = _reference_first_dependence(A, rows, tol)
         except AnnihilatorNotFound:
             want = None
         try:
-            got = screened(A, rows, tol)
+            got = screened(A, rows, tol, skip)
         except AnnihilatorNotFound:
             if want is not None:
                 misses.append((A.shape[0], tol, "raised"))
@@ -214,7 +214,8 @@ def test_screen_stays_in_range_where_the_powers_overflow(monkeypatch):
     rows = complex_adjoint(_scaled(base.H, 1e-70))
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(rows @ np.linalg.matrix_power(A, 16)).all()
-    x, earlier = xfer._first_dependence(A, rows, 1e-7)
+    x, earlier = xfer._first_dependence(A, rows, 1e-7,
+                                        xfer._screen(A, rows, 1e-7))
     want_x, want_earlier = _reference_first_dependence(A, rows, 1e-7)
     assert len(x) == 16
     assert np.array_equal(x, want_x) and np.array_equal(earlier, want_earlier)
@@ -298,9 +299,9 @@ def _count_dependence_calls(monkeypatch):
     per call."""
     search, calls = xfer._first_dependence, []
 
-    def counted(A, rows, tol):
+    def counted(A, rows, tol, skip):
         calls.append(A.shape[0])
-        return search(A, rows, tol)
+        return search(A, rows, tol, skip)
 
     monkeypatch.setattr(xfer, "_first_dependence", counted)
     return calls

@@ -14,12 +14,12 @@ from .qmat import (QuatMatrix, RightSpectrum, add as mat_add, complex_adjoint,
                    spectral_radius_stable)
 from .qpoly import (QPoly, BezoutData, ZeroReport, companion_polynomial,
                     div_quotient_left, div_quotient_right, eval_left,
-                    eval_right, gcld, gcrd, is_stable, left_to_right,
-                    mul as pmul, right_to_left, right_zeros, scale_left,
-                    scale_right, shift)
+                    eval_right, gcld, gcrd, left_to_right, mul as pmul,
+                    right_to_left, right_zeros, scale_left, scale_right,
+                    shift)
 from .xfer import (LeftFraction, RightFraction, StateSpace,
                    denominator_classes_agree, fraction_equal, inverse_class,
-                   markov, pole_classes, realize, series,
+                   is_stable, markov, pole_classes, realize, series,
                    spectrum_matches_poles, tf_left, tf_right)
 from .design import (DesignResult, DiophantineSolution, build_c,
                      closed_loop_response_tfs, place_poles,

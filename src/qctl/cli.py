@@ -17,13 +17,13 @@ from .errors import IllConditioned, ParseError, QctlError, SimulationDiverged
 from .quat import Quaternion
 from .qmat import (QuatMatrix, _wrap as _wrap_matrix, right_eigenvalues,
                    spectral_radius_stable)
-from .qpoly import QPoly, is_stable, mul, right_zeros
+from .qpoly import QPoly, mul, right_zeros
 from .xfer import (LeftFraction, RightFraction, StateSpace,
-                   as_left_fraction, tf_left, tf_right)
+                   as_left_fraction, is_stable, tf_left, tf_right)
 from .design import place_poles, solve_diophantine
 from .errors import DegenerateKernel
 from .sim import random_state, simulate, simulate_feedback
-from .serialize import load_document
+from .serialize import load_document, quat_from_doc
 
 CSV_HEADER = "k,yw,yx,yy,yz,ynorm"
 
@@ -135,12 +135,12 @@ def parse_roots(text: str):
                 comps = [float(v) for v in tok[1:-1].split(",")]
                 if len(comps) != 4:
                     raise ValueError("need four components")
-                roots.append(Quaternion(*comps))
             else:
-                roots.append(Quaternion(float(tok)))
+                comps = [float(tok), 0.0, 0.0, 0.0]
         except ValueError as exc:
             raise ParseError(f"bad root {tok!r}: {exc}",
                              field="--roots") from exc
+        roots.append(quat_from_doc(comps, field="--roots"))
     return roots
 
 
@@ -288,8 +288,8 @@ def _cmd_design(args, out):
 
 def _csv_text(ys) -> str:
     lines = [CSV_HEADER]
-    for k, y in enumerate(ys):
-        comps = [y.w, y.x, y.y, y.z, y.norm()]
+    for k, (y, norm) in enumerate(zip(ys, _norms(ys))):
+        comps = [y.w, y.x, y.y, y.z, norm]
         lines.append(str(k) + "," + ",".join(f"{v:.17g}" for v in comps))
     return "\n".join(lines) + "\n"
 
@@ -467,8 +467,9 @@ def main(argv=None) -> int:
             return 1
         if hasattr(args, "digits") and args.digits < 1:
             raise _UsageError("--digits must be >= 1")
-        if getattr(args, "tol", None) is not None and args.tol <= 0:
-            raise _UsageError("--tol must be positive")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0.0 < tol < math.inf:
+            raise _UsageError("--tol must be positive and finite")
         return _DISPATCH[args.command](args, sys.stdout)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

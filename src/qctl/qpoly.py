@@ -748,23 +748,9 @@ def _psi_class_checks(C, classes):
                np.sqrt(sq[1] + sq[2] + sq[3]).tolist())
 
 
-def _candidate_classes(a: QPoly, cluster_tol: float):
-    """(C, norms, classes): the (L, 4) components of a, their norms and
-    the clustered classes (re, im) of the roots of conj(a) a.  An a with
-    a coefficient norm outside [2^-511, 2^511], which would take conj(a)
-    a out of the float range, is first scaled exactly by a power of two."""
-    C = a._z.view(float)
-    with np.errstate(all="ignore"):
-        norms = _norm(C.T)
-        if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:
-            # largest component to [1, 2), so the largest norm is >= 1
-            C = np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
-            norms = _norm(C.T)
-        try:
-            roots = np.roots(_companion_coeffs(C)[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(str(exc)) from exc
-        return C, norms, _cluster_classes(roots, cluster_tol)
+def _unit_scale(C) -> np.ndarray:
+    """C times the power of two that brings its largest entry to [1, 2)."""
+    return np.ldexp(C, 1 - math.frexp(np.abs(C).max())[1])
 
 
 def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
@@ -789,10 +775,20 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
     if a.is_zero():
         raise ValueError("right_zeros of the zero polynomial")
     cluster_tol = max(1e-6, 10.0 * tol)
-    C, norms, classes = _candidate_classes(a, cluster_tol)
+    C = a._z.view(float)
     # overflow and division by zero only yield values that the decisions
     # below read as misses, so numpy need not warn about them
     with np.errstate(all="ignore"):
+        norms = _norm(C.T)
+        if not 2.0 ** -511 <= max(norms.tolist()) <= 2.0 ** 511:
+            # conj(a) a would leave the float range
+            C = _unit_scale(C)
+            norms = _norm(C.T)
+        try:
+            roots = np.roots(_companion_coeffs(C)[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(str(exc)) from exc
+        classes = _cluster_classes(roots, cluster_tol)
         real = [im <= cluster_tol * max(1.0, math.hypot(re, im))
                 for re, im in classes]
         real_checks = iter(_real_class_checks(
@@ -843,13 +839,3 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
             f"{count} zeros found for a polynomial of degree {a.degree()}")
     return ZeroReport(isolated, spherical, warnings)
 
-
-def is_stable(a: QPoly, tol: float = 1e-9) -> bool:
-    """Stability in the backward-shift variable: every right zero
-    (isolated or spherical) must have norm > 1 + tol.  Nonzero constants
-    are vacuously stable.  Each class of a root of conj(a) a holds zeros
-    of its norm, so right_zeros' candidate classes decide it."""
-    if a.is_zero():
-        raise ValueError("stability of the zero polynomial is undefined")
-    _, _, classes = _candidate_classes(a, max(1e-6, 10.0 * COEFF_TOL))
-    return all(math.hypot(re, im) > 1.0 + tol for re, im in classes)

@@ -219,14 +219,10 @@ def similar(p: Quaternion, q: Quaternion, tol: float = SIMILARITY_TOL) -> bool:
     """Whether p and q are similar (some u conjugates one to the other).
 
     Equal real parts plus equal imaginary norms characterize similarity
-    over H, which is why members of one class all share the same norm.
-    Comparison is relative to scale = max(1, |p|, |q|).
+    over H, which is why members of one class all share the same norm:
+    their classes must match (SimilarityClass.matches).
     """
-    p = _coerce(p)
-    q = _coerce(q)
-    scale = max(1.0, p.norm(), q.norm())
-    return (abs(p.w - q.w) <= tol * scale
-            and abs(p.imag_norm() - q.imag_norm()) <= tol * scale)
+    return class_of(p).matches(class_of(q), tol)
 
 
 def left_mul_matrix(q: Quaternion) -> np.ndarray:

@@ -15,10 +15,10 @@ from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
 from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
-                   complex_adjoint, right_eigenvalues)
+                   complex_adjoint, right_eigenvalues, spectral_radius_stable)
 from .qpoly import (_CONJ, COEFF_TOL, QPoly, _left_gcd, _trim_pair, _unit,
-                    _wrap, left_to_right, mul, right_to_left, right_zeros,
-                    scale_left, scale_right)
+                    _unit_scale, _wrap, left_to_right, mul, right_to_left,
+                    right_zeros, scale_left, scale_right)
 from .sim import _blocks, _impulse_response, _quaternions
 
 
@@ -161,7 +161,7 @@ def markov(sys: StateSpace, count: int):
 def series(frac, count: int):
     """First ``count`` coefficients of the fraction's power series.
 
-    Raises NonCausal when |den(0)| <= ZERO_THRESHOLD max(1, |den|).  A
+    Raises NonCausal when den(0) vanishes, as realize does.  A
     left fraction's series solves den * S = num: it is the impulse
     response of the observer form.  A right fraction's is the conjugate
     of the left series of conj(den)^{-1} conj(num), the response of the
@@ -170,7 +170,7 @@ def series(frac, count: int):
     den, num = frac.den, frac.num
     if frac.kind == "right":
         den, num = den.conjugate(), num.conjugate()
-    ss = _observer_form(*_unit_at0(den, num, max(1.0, den.norm_inf())))
+    ss = _observer_form(*_unit_at0(den, num))
     return markov(ss if frac.kind == "left" else _dual(ss), count)
 
 
@@ -340,13 +340,12 @@ def _realize_left(den: QPoly, num: QPoly, tol: float) -> StateSpace:
     return ss
 
 
-def _unit_at0(den: QPoly, num: QPoly, scale: float = None):
+def _unit_at0(den: QPoly, num: QPoly):
     """(u den, u num) with u = den(0)^{-1}: the same left fraction with
-    den(0) = 1.  Raises NonCausal when |den(0)| <= ZERO_THRESHOLD scale,
-    ``scale`` defaulting to max(1, |den|, |num|)."""
+    den(0) = 1.  Raises NonCausal when |den(0)| <= ZERO_THRESHOLD
+    max(1, |den|): whether den(0) vanishes is a property of den alone."""
     d0 = den.at0()
-    scale = scale or max(1.0, den.norm_inf(), num.norm_inf())
-    if d0.norm() <= ZERO_THRESHOLD * scale:
+    if d0.norm() <= ZERO_THRESHOLD * max(1.0, den.norm_inf()):
         raise NonCausal("den(0) = 0: the fraction has no causal series")
     if d0 == Quaternion(1.0):
         return den, num
@@ -416,6 +415,23 @@ def pole_classes(frac, tol: float = COEFF_TOL):
     out = [inverse_class(cls) for _, cls in report.isolated]
     out.extend(inverse_class(cls) for cls in report.spherical)
     return out
+
+
+def is_stable(a: QPoly, tol: float = 1e-9) -> bool:
+    """Stability in the backward-shift variable: every right zero
+    (isolated or spherical) must have norm > 1 + tol.  Nonzero constants
+    are vacuously stable.  The observer form of 1/a has the inverse zero
+    classes of a as its spectrum, so spectral_radius_stable decides it,
+    as it decides place_poles.  a is first scaled exactly by a power of
+    two; an a(0) that vanishes against |a| is a zero at the origin."""
+    if a.is_zero():
+        raise ValueError("stability of the zero polynomial is undefined")
+    a = _wrap(_unit_scale(a._z.view(float)).view(complex))
+    try:
+        form = _observer_form(*_unit_at0(a, QPoly.one()))
+    except NonCausal:
+        return False
+    return spectral_radius_stable(form.F, tol / (1.0 + tol))
 
 
 def spectrum_matches_poles(sys: StateSpace, frac,

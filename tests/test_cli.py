@@ -106,6 +106,17 @@ def test_parse_roots():
         parse_roots("abc")
     with pytest.raises(ParseError):
         parse_roots("")
+    # the finiteness rule of JSON quaternion documents
+    for text in ("nan", "inf", "1e400", "(0, nan, 0, 0)", "3, -inf"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_roots(text)
+
+
+@pytest.mark.parametrize("roots", ["nan,3", "inf", "1e400", "(0, nan, 0, 0)"])
+def test_cli_design_rejects_nonfinite_roots(tmp_path, capsys, roots):
+    assert main(["design", "--plant", _plant_path(tmp_path),
+                 "--roots", roots]) == 1
+    assert "--roots" in capsys.readouterr().err
 
 
 def test_cli_eig(tmp_path, capsys):
@@ -330,6 +341,8 @@ def test_cli_tol_flag(tmp_path, capsys):
                  ["design", "--plant", plant, "--roots", "3, 4"]):
         assert main(argv + ["--tol", "0"]) == 1
         assert main(argv + ["--tol", "-1e-9"]) == 1
+        assert main(argv + ["--tol", "nan"]) == 1
+        assert main(argv + ["--tol", "inf"]) == 1
     capsys.readouterr()
     # without --tol each command runs at its library function's default
     assert main(["zeros", "--poly", poly]) == 0
@@ -339,3 +352,19 @@ def test_cli_tol_flag(tmp_path, capsys):
     # a given --tol reaches the library: none is met below 1e-300
     assert main(["tf", "--system", plant, "--tol", "1e-300"]) == 2
     assert "AnnihilatorNotFound" in capsys.readouterr().err
+
+
+def test_cli_csv_norm_is_the_reported_norm(tmp_path, capsys):
+    # |y| = 1e200 |x0| overflows as a square: the CSV and the report
+    # share one norm rule
+    path = _write(tmp_path, "large.json", to_doc(StateSpace(
+        QuatMatrix([[Quaternion(0.5)]]), QuatMatrix([[ONE]]),
+        QuatMatrix([[Quaternion(1e200)]]), ZERO)))
+    csv_path = tmp_path / "out.csv"
+    assert main(["simulate", "--system", path, "--steps", "3",
+                 "--csv", str(csv_path), "--digits", "17"]) == 0
+    peak = float(capsys.readouterr().out.split("peak |y|: ")[1].split()[0])
+    rows = csv_path.read_text().strip().split("\n")[1:]
+    norms = [float(row.split(",")[5]) for row in rows]
+    assert all(map(math.isfinite, norms))
+    assert max(norms) == peak

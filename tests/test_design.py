@@ -8,8 +8,8 @@ from qctl import (ONE, ZERO, I, J, K, DegenerateKernel, IllConditioned,
                   IllPosed, LeftFraction, NonCausalController, QPoly,
                   Quaternion, QuatMatrix, RightFraction, SimilarityClass,
                   StateSpace, Unsolvable, ZeroDivisor, ZeroRoot, build_c,
-                  closed_loop_response_tfs, fraction_equal, markov,
-                  place_poles, pmul, realize, right_eigenvalues,
+                  closed_loop_response_tfs, fraction_equal, is_stable,
+                  markov, place_poles, pmul, realize, right_eigenvalues,
                   right_zeros, series, solve_diophantine, tf_left,
                   tf_right)
 from qctl.xfer import as_left_fraction
@@ -280,3 +280,13 @@ def test_right_to_left_conversion_makes_one_decision(monkeypatch):
                                                           plant.num.degree())
         assert (frac.den.at0() - ONE).norm() <= 1e-12
         assert fraction_equal(frac, plant)
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-6, 1e-5, 1e-4])
+def test_design_verdict_agrees_with_is_stable(gap):
+    # a double real target just outside 1 + tol: the design's verdict on
+    # its closed loop and is_stable of its own target c are one rule
+    r = 1.0 + 1e-9 + gap
+    res = place_poles(gen.plant_system(gen.rng_for(1, 102), 2), [r, r])
+    assert res.stable
+    assert is_stable(res.c) == res.stable

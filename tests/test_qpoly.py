@@ -279,6 +279,43 @@ def test_is_stable_on_real_zeros_just_outside(gap):
     assert not is_stable(QPoly([-r, 1.0]), gap + 2e-9)
 
 
+def _power(f, k):
+    a = QPoly([1.0])
+    for _ in range(k):
+        a = pmul(a, f)
+    return a
+
+
+@pytest.mark.parametrize("gap", [2e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_is_stable_on_repeated_real_zeros_just_outside(gap):
+    # (d - r)^2 is a fourfold root of conj(a) a, which np.roots splits by
+    # about eps^(1/4); the observer form of 1/a has the double eigenvalue
+    # class 1/r, whose modulus rounding moves far less
+    r = 1.0 + 1e-9 + gap
+    a = _power(QPoly([-r, 1.0]), 2)
+    assert is_stable(a)
+    assert not is_stable(a, gap + 2e-9)
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-4, 1e-3])
+def test_is_stable_on_triple_real_zeros_outside(gap):
+    r = 1.0 + 1e-9 + gap
+    assert is_stable(_power(QPoly([-r, 1.0]), 3))
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-100, 1e100])
+def test_is_stable_ignores_the_scale_of_a(s):
+    # the zero 2 - i of (-2 + i) + d has norm sqrt(5), that of -0.5 + d
+    # norm 0.5, however small or large the coefficients
+    assert is_stable(QPoly([Quaternion(-2.0 * s, s), Quaternion(s)]))
+    assert not is_stable(QPoly([-0.5 * s, s]))
+
+
+def test_is_stable_reads_a_zero_at_the_origin_as_unstable():
+    assert not is_stable(QPoly([0.0, -3.0, 1.0]))
+    assert not is_stable(QPoly([1e-14, -3.0, 1.0]))
+
+
 def test_scale_left_right_zero_preserved():
     rng = gen.rng_for(23)
     a = gen.rand_poly(rng, 2)

@@ -130,3 +130,17 @@ def test_module_level_helpers_match_methods():
     q = Quaternion(-1.0, 0.0, 2.0, 1.0)
     assert qmul(p, q) == p * q
     assert conjugate(p) == p.conjugate()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 0.0])
+def test_similar_is_class_matching(tol):
+    # pairs around the threshold: a rotated copy of p moved by up to
+    # twice tol relative to its size, half of them not moved at all
+    rng = gen.rng_for(25)
+    for _ in range(1000):
+        p = gen.rand_quat(rng, 10.0 ** rng.uniform(-2.0, 3.0))
+        u = gen.rand_unit_quat(rng)
+        q = u * p * u.inverse()
+        if rng.uniform() < 0.5:
+            q = q + gen.rand_quat(rng, 2.0 * tol * max(1.0, p.norm()))
+        assert similar(p, q, tol) == class_of(p).matches(class_of(q), tol)

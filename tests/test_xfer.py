@@ -275,3 +275,23 @@ def test_dual_markov_is_conjugate_at_n16():
     got = markov(_dual(ss), 40)
     scale = max(1.0, max(s.norm() for s in want))
     assert max((u - v).norm() for u, v in zip(got, want)) <= 1e-12 * scale
+
+
+def _causal(expand):
+    try:
+        expand()
+    except NonCausal:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("den0, causal", [(5e-12, True), (0.0, False)])
+@pytest.mark.parametrize("kind", ["left", "right"])
+def test_series_and_realize_share_one_causality_rule(den0, causal, kind):
+    # whether den(0) vanishes is decided against den alone, however
+    # large the numerator
+    den, num = QPoly([den0, 1.0]), QPoly([1.0, 1e4])
+    frac = (LeftFraction(den, num) if kind == "left"
+            else RightFraction(num, den))
+    assert _causal(lambda: series(frac, 4)) is causal
+    assert _causal(lambda: realize(frac)) is causal

@@ -276,6 +276,10 @@ def _cmd_design(args, out):
             out.write(f"  {idx}: {fmt_quat(z, args.digits)}\n")
         for idx, cls in enumerate(report.spherical, 1):
             out.write(f"  sphere: {fmt_class(cls, args.digits)}\n")
+        found = len(report.isolated) + 2 * len(report.spherical)
+        if found != result.c.degree():
+            out.write(f"  not resolved: {found} zeros listed (a sphere "
+                      f"counts 2) for deg c = {result.c.degree()}\n")
     spectrum = right_eigenvalues(result.closed_loop.F)
     out.write(f"closed-loop spectrum ({len(spectrum)}):\n")
     for idx, cls in enumerate(spectrum, 1):

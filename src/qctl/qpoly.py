@@ -471,8 +471,9 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
     rhs[r] (solutions is None when a square M gets none); small
     counts the singular values of a square M at or below the floor times
     the largest, each quaternionic one twice (0 when the certificate
-    holds; None when M is not square); resid[r] is the largest
-    coefficient norm of the residual sum_i p_i x_i - r.
+    holds; None when M is not square); resid() computes, for the callers
+    that read it, resid()[r], the largest coefficient norm of the
+    residual sum_i p_i x_i - r.
     """
     M, row_scale, col_scale = _sylvester_matrix(blocks, rows)
     square, nr = M.shape[0] == M.shape[1], len(rhs)
@@ -504,7 +505,7 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
         if sol is None:
             return None, small, None
         if not rhs:
-            return [], small, np.empty(0)
+            return [], small, None
         inv = np.empty_like(M)
         inv[:, 0::2] = inv_even
         inv[0::2, 1::2] = -inv_even[1::2].conj()
@@ -512,13 +513,16 @@ def _sylvester_solve(blocks, rows: int, rhs, tol: float = 0.0):
         sol = sol - inv @ (M @ sol - R)
     else:
         sol = np.linalg.lstsq(M, R, rcond=None)[0]
-    res = (M @ sol - R) / row_scale[:, None]
-    resid = np.sqrt(np.abs(res[0::2]) ** 2
-                    + np.abs(res[1::2]) ** 2).max(axis=0)
-    sol = np.ascontiguousarray((sol * col_scale[:, None]).T)
+
+    def resid():
+        res = (M @ sol - R) / row_scale[:, None]
+        return np.sqrt(np.abs(res[0::2]) ** 2
+                       + np.abs(res[1::2]) ** 2).max(axis=0)
+    unscaled = np.ascontiguousarray((sol * col_scale[:, None]).T)
     edges = [0, *itertools.accumulate(2 * n for _, n in blocks)]
     return ([[_wrap(_flip_q2(s[i:j].reshape(-1, 2)))
-              for i, j in zip(edges, edges[1:])] for s in sol], small, resid)
+              for i, j in zip(edges, edges[1:])] for s in unscaled], small,
+            resid)
 
 
 def _flip_q2(z):
@@ -564,17 +568,22 @@ def _left_gcd(f: QPoly, s: QPoly, tol: float, rhs=(), top: int = 0,
     elif sols is None:
         raise IllConditioned("singular Sylvester system of a coprime pair")
     *sols, (u_low, v) = sols
-    u, v = u_low + QPoly.monomial(1.0, m - k), v.trim(tol)
+    u, v = u_low + shift(QPoly.one(), m - k), v.trim(tol)
     if not k:
         return 0, QPoly.one(), (u, v), sols, (f, s, 0.0)
     cu, cv, clead = u.conjugate(), v.conjugate(), f.lead().conjugate()
-    [[f_low, cs]], _, _ = _sylvester_solve(
+    annihilator, _, _ = _sylvester_solve(
         [(cu, n - k), (cv, m - k + 1)], n + m - 2 * k + 1,
         [-shift(scale_right(cu, clead), n - k)])
+    if annihilator is None:
+        raise IllConditioned("singular annihilator solve for the common "
+                             f"left factor of degree {k}")
+    [[f_low, cs]] = annihilator
     cf = f_low + QPoly.monomial(clead, n - k)
-    [[cr]], _, [resid] = _sylvester_solve(
+    [[cr]], _, residual = _sylvester_solve(
         [(cf + shift(cs, n + 1), k + 1)], n + m + 2,
         [f.conjugate() + shift(s.conjugate(), n + 1)])
+    [resid] = residual()
     lam = cr.lead().conjugate()
     g = scale_right(cr.conjugate(), _invert(lam, "leading coefficient"))
     return k, g, (u, v), sols, (scale_left(lam, cf.conjugate()),
@@ -593,8 +602,9 @@ def _left_quotient(g, c, tol, scale):
         return QPoly()
     h, resid = QPoly(), c.norm_inf()
     if c.degree() >= g.degree():
-        [[h]], _, [resid] = _sylvester_solve(
+        [[h]], _, residual = _sylvester_solve(
             [(g, c.degree() - g.degree() + 1)], c.degree() + 1, [c])
+        [resid] = residual()
     if resid > tol * scale:
         _, rem = div_quotient_right(c, g)
         raise Unsolvable(

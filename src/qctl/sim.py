@@ -151,11 +151,12 @@ def _quaternions(pairs: np.ndarray):
     return list(map(_from_floats, pairs.view(float).tolist()))
 
 
-def _impulse_response(ss, steps: int) -> np.ndarray:
-    """y(0..steps-1) from x = 0 under a unit impulse: J, H G, H F G, ..."""
+def _impulse_response(step, steps: int) -> np.ndarray:
+    """y(0..steps-1) of the adjoint step matrix ``step`` from x = 0 under
+    a unit impulse: J, H G, H F G, ..."""
     inputs = np.zeros((steps, 2), dtype=complex)
     inputs[:1, 0] = 1.0
-    return _propagate(_step_matrix(ss), np.zeros(2 * ss.n, complex), inputs)
+    return _propagate(step, np.zeros(len(step) - 2, complex), inputs)
 
 
 def _check_steps(steps: int):

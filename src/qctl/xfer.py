@@ -9,17 +9,19 @@ polynomials.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
-from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
-                   complex_adjoint, right_eigenvalues, spectral_radius_stable)
+from .qmat import (QuatMatrix, _wrap as _wrap_matrix, right_eigenvalues,
+                   spectral_radius_stable)
 from .qpoly import (_CONJ, COEFF_TOL, QPoly, _left_gcd, _trim_pair, _unit,
                     _unit_scale, _wrap, left_to_right, mul, right_to_left,
                     right_zeros, scale_left, scale_right)
-from .sim import _blocks, _impulse_response, _quaternions
+from .sim import _blocks, _impulse_response, _quaternions, _step_matrix
 
 
 class StateSpace:
@@ -98,8 +100,12 @@ class LeftFraction:
 
     def _normalize(self, den: QPoly, num: QPoly, tol: float):
         unit = _unit(den, tol, max(1.0, den.norm_inf()))
-        self.den = scale_left(unit, den)
-        self.num = scale_left(unit, num)
+        if unit == Quaternion(1.0):
+            # on finite coefficients, a scale by 1 only turns -0.0 into +0.0
+            self.den, self.num = _wrap(den._z + 0.0), _wrap(num._z + 0.0)
+        else:
+            self.den = scale_left(unit, den)
+            self.num = scale_left(unit, num)
 
     def __repr__(self):
         return f"LeftFraction(den={self.den!r}, num={self.num!r})"
@@ -155,7 +161,7 @@ def as_left_fraction(plant, tol: float = COEFF_TOL) -> LeftFraction:
 def markov(sys: StateSpace, count: int):
     """First ``count`` Markov parameters S_0 = J, S_k = H F^{k-1} G,
     the system's impulse response from x = 0, as Quaternions."""
-    return _quaternions(_impulse_response(sys, max(count, 0)))
+    return _quaternions(_impulse_response(_step_matrix(sys), max(count, 0)))
 
 
 def series(frac, count: int):
@@ -174,6 +180,17 @@ def series(frac, count: int):
     return markov(ss if frac.kind == "left" else _dual(ss), count)
 
 
+def _norm2(v) -> float:
+    """np.linalg.norm(v) of a complex vector v: its formula, so its bits,
+    with none of its dispatch."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _row_norms(x) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of a complex x, as _norm2 is."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1))
+
+
 def _screen(A, rows, tol: float):
     """skip[m], m = 0, ..., N/2: whether the search of _first_dependence
     cannot stop at step m.  One QR factorization of all N/2 + 1 blocks
@@ -188,14 +205,16 @@ def _screen(A, rows, tol: float):
     zero = np.zeros(n // 2 + 1, dtype=bool)
     block = rows
     for m in range(n // 2 + 1):
+        if m:
+            block = screen[2 * m - 2:2 * m] @ A
         peak = np.abs(block).max(initial=0.0)
         zero[m] = not peak
         screen[2 * m:2 * m + 2] = block / peak if peak else block
-        block = screen[2 * m:2 * m + 2] @ A
-    dist = np.abs(np.diagonal(np.linalg.qr(screen.T, mode="r"))[::2])
+    # raw mode leaves R in the upper triangle of the transposed
+    # factorization, so its diagonal is R's, with no copy of R
+    dist = np.abs(np.diagonal(np.linalg.qr(screen.T, mode="raw")[0])[::2])
     dist[zero[:-1]] = 0.0
-    return [*(dist > 100 * tol * np.linalg.norm(screen[:n:2], axis=1)),
-            False]
+    return [*(dist > 100 * tol * _row_norms(screen[:n:2])), False]
 
 
 def _first_dependence(A, rows, tol: float, skip):
@@ -221,10 +240,10 @@ def _first_dependence(A, rows, tol: float, skip):
                    else np.empty((0, len(A)), dtype=complex))
         resid = target
         if m:
-            w = 1.0 / np.linalg.norm(earlier, axis=1)
+            w = 1.0 / _row_norms(earlier)
             x = np.linalg.lstsq(earlier.T * w, -target, rcond=None)[0] * w
             resid = x @ earlier + target
-        if np.linalg.norm(resid) <= tol * np.linalg.norm(target):
+        if _norm2(resid) <= tol * _norm2(target):
             return x, earlier
     raise AnnihilatorNotFound(f"no dependence up to degree {m} met the "
                               f"relative residual tolerance {tol:g}")
@@ -239,16 +258,21 @@ def _annihilator(sys: StateSpace, tol: float):
     top coefficients of a can be exact zeros while b's are not.  When
     _screen skips every dual step below N/2, that subspace is C^N, and
     the rows are searched with no dual solve and no projection, a
-    unitary change of basis that changes no residual test."""
-    F, H = complex_adjoint(sys.F), complex_adjoint(sys.H)
-    dual = F.conj().T, complex_adjoint(sys.G).conj().T
+    unitary change of basis that changes no residual test.  One adjoint
+    step matrix gives adj F, adj G and adj H and runs the impulse
+    response."""
+    step = _step_matrix(sys)
+    n2 = 2 * sys.n
+    F, G, H = (np.ascontiguousarray(block) for block in (
+        step[:n2, :n2], step[:n2, n2:], step[n2:, :n2]))
+    dual = F.conj().T, G.conj().T
     skip = _screen(*dual, tol)
     if not all(skip[:-1]):
         Q = np.linalg.qr(_first_dependence(*dual, tol, skip)[1].conj().T)[0]
         F, H = Q.conj().T @ F @ Q, H @ Q
     x, _ = _first_dependence(F, H, tol, _screen(F, H, tol))
     a = _wrap(np.vstack([[1.0, 0.0], x.reshape(-1, 2)]))
-    b = mul(a, _wrap(_impulse_response(sys, sys.n + 1)))
+    b = mul(a, _wrap(_impulse_response(step, sys.n + 1)))
     return a, _wrap(b._z[:len(x) // 2 + 1])
 
 
@@ -367,34 +391,22 @@ def _observer_form(den: QPoly, num: QPoly) -> StateSpace:
     """
     n = max(den.degree(), num.degree(), 0)
     z = np.zeros((n + 1, n + 1, 2), dtype=complex)
+    z[n, 0, 0] = 1.0  # H = e_1; at n = 0 the J entry below replaces it
+    z[n, n] = _observer_rows(z[:n], den, num)
+    return _from_blocks(z, n)
+
+
+def _observer_rows(z, den: QPoly, num: QPoly):
+    """Write the n state rows of the observer form of den^{-1} num into
+    the zeroed rows ``z`` of a block pair array, F in its first n columns
+    and G in its last, and return the pair of J = num(0)."""
+    n = len(z)
     z[:den.degree(), 0] = -den._z[1:]
     z[range(n - 1), range(1, n), 0] = 1.0
-    z[n, 0, 0] = 1.0  # H = e_1; at n = 0 the J entry below replaces it
     b0 = num.at0()
     g = (num - scale_right(den, b0))._z[1:]
-    z[:len(g), n] = g
-    z[n, n] = complex(b0.w, b0.x), complex(b0.y, b0.z)
-    return _from_blocks(z, n)
-
-
-def _series(s1: StateSpace, s2: StateSpace) -> StateSpace:
-    """The series connection u -> s1 -> s2 -> y, whose transfer function
-    is S2 S1 (s1 acts first, so its series multiplies from the right):
-
-        F = [[F1, 0], [G2 H1, F2]],  G = [G1; G2 J1],
-        H = [J2 H1, H2],             J = J2 J1
-
-    the blocks of E2 E1, E1 and E2 the block pair arrays of s1 and s2
-    embedded in the identity on (x1, x2, u).
-    """
-    n1, n = s1.n, s1.n + s2.n
-    b1, b2 = _blocks(s1), _blocks(s2)
-    k1 = [*range(n1), n]
-    z = np.zeros((n + 1, n + 1, 2), dtype=complex)
-    z[:n1, k1] = b1[:n1]
-    z[n1:, n1:n] = b2[:, :-1]
-    z[n1:, k1] = _pair_matmul(b2[:, -1:], b1[-1:])
-    return _from_blocks(z, n)
+    z[:len(g), -1] = g
+    return complex(b0.w, b0.x), complex(b0.y, b0.z)
 
 
 def inverse_class(cls: SimilarityClass) -> SimilarityClass:

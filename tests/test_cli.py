@@ -184,6 +184,31 @@ def test_cli_design_reports_unresolved_zeros_and_exits_0(tmp_path, capsys,
     assert out.endswith("stability: PASS\n")
 
 
+@pytest.mark.parametrize("seed, listed", [(1, 11), (7, 11), (2, 12)])
+def test_cli_design_says_when_it_lists_fewer_zeros_than_deg_c(
+        tmp_path, capsys, seed, listed):
+    # at n = 12 the zeros of t_w.den fall short of deg c on seeds 1 and 7
+    # (ROADMAP item 1); the listing says so and the design still stands
+    n = 12
+    plant = _write(tmp_path, "plant.json", to_doc(
+        gen.plant_system(gen.rng_for(seed, 100 + n), n)))
+    roots = ",".join("(%r,%r,%r,%r)" % q.components() for q in
+                     gen.spaced_nonreal(gen.rng_for(seed, 200 + n), n))
+    assert main(["design", "--plant", plant, "--roots", roots]) == 0
+    out = capsys.readouterr().out
+    zeros = out.split("closed-loop denominator zeros:\n")[1].split(
+        "closed-loop spectrum (")[0].splitlines()
+    assert sum(line.split(":")[0].strip().isdigit() for line in zeros) \
+        == listed
+    unresolved = [line for line in zeros if "not resolved" in line]
+    if listed == n:
+        assert unresolved == []
+    else:
+        assert unresolved == [f"  not resolved: {listed} zeros listed (a "
+                              f"sphere counts 2) for deg c = {n}"]
+    assert out.endswith("stability: PASS\n")
+
+
 def test_cli_design_rejects_double_target(tmp_path):
     plant = _plant_path(tmp_path)
     target = _write(tmp_path, "c.json", to_doc(QPoly([12.0, -7.0, 1.0])))

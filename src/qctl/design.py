@@ -16,12 +16,12 @@ import numpy as np
 from .errors import (BothZero, DegenerateKernel, IllPosed,
                      NonCausalController, ZeroRoot)
 from .quat import _coerce, ZERO_THRESHOLD
-from .qmat import _pair_matmul, spectral_radius_stable
+from .qmat import spectral_radius_stable
 from .qpoly import (COEFF_TOL, QPoly, _invert, _left_gcd, _left_quotient,
                     _norm, _sylvester_solve, _wrap, mul, right_to_left,
                     scale_left, scale_right)
-from .xfer import (LeftFraction, RightFraction, _from_blocks,
-                   _observer_rows, _unit_at0, as_left_fraction)
+from .xfer import (LeftFraction, RightFraction, _closed_loop, _unit_at0,
+                   as_left_fraction)
 
 
 class DiophantineSolution:
@@ -183,7 +183,7 @@ class DesignResult:
     denominator.  p, q: the Diophantine solution (controller den and
     num).  controller: q p^{-1} as a RightFraction.  closed_loop: a
     state-space realization of t_w = p c^{-1} a, the series connection
-    of place_poles written in one block pair array (see _closed_loop),
+    of place_poles written in one block pair array (see xfer._closed_loop),
     with max(deg c, deg a) + deg p states.
     stable: True when closed_loop.F has spectral radius below one.
 
@@ -256,25 +256,6 @@ def closed_loop_response_tfs(plant: LeftFraction, p: QPoly, q: QPoly,
     return t_v, t_w
 
 
-def _closed_loop(den: QPoly, num: QPoly, p: QPoly):
-    """p den^{-1} num, den(0) = 1, as the observer form (F1, G1, H1, J1)
-    of den^{-1} num in series with that of the FIR p (F2 a shift,
-    G2 = (p_1; ...; p_m), H2 = e_1, J2 = p_0), filled into one block
-    pair array [[F1, 0, G1], [G2 H1, F2, G2 J1], [J2 H1, H2, J2 J1]].
-    The column (G2; J2) times the row (H1, J1) is one pair product."""
-    n1 = max(den.degree(), num.degree(), 0)
-    n = n1 + p.degree()
-    z = np.zeros((n + 1, n + 1, 2), dtype=complex)
-    row = np.zeros((1, n1 + 1, 2), dtype=complex)
-    row[0, 0, 0] = 1.0  # H1 = e_1; at n1 = 0 the J1 entry replaces it
-    row[0, n1] = _observer_rows(z[:n1], den, num)
-    z[range(n1, n - 1), range(n1 + 1, n), 0] = 1.0
-    z[n, n1, 0] = 1.0  # H2 = e_1; at deg p = 0 the product replaces it
-    column = np.concatenate([p._z[1:], p._z[:1]])[:, None]
-    z[n1:, [*range(n1), n]] = _pair_matmul(column, row)
-    return _from_blocks(z, n)
-
-
 def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     """Design a feedback controller fixing the closed-loop denominator.
 
@@ -292,7 +273,7 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     fraction conversion: the observer form of c_ach^{-1} a, with
     c_ach = a p + b q cut to deg c + 1 coefficients, in series with the
     observer form of the FIR p, written straight into one block pair
-    array (see _closed_loop).  c_ach, not c, makes the verdict depend
+    array (see xfer._closed_loop).  c_ach, not c, makes the verdict depend
     on the computed p and q.  That realization is block triangular, so
     its spectrum is the inverse zero classes of c_ach plus modes at the
     origin, and stable is its spectral-radius verdict.

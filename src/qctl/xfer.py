@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (AnnihilatorNotFound, DimensionMismatch, NonCausal,
                      ZeroDivisor)
 from .quat import Quaternion, SimilarityClass, _coerce, ZERO_THRESHOLD
-from .qmat import (QuatMatrix, _wrap as _wrap_matrix, right_eigenvalues,
-                   spectral_radius_stable)
+from .qmat import (QuatMatrix, _pair_matmul, _wrap as _wrap_matrix,
+                   right_eigenvalues, spectral_radius_stable)
 from .qpoly import (_CONJ, COEFF_TOL, QPoly, _left_gcd, _trim_pair, _unit,
                     _unit_scale, _wrap, left_to_right, mul, right_to_left,
                     right_zeros, scale_left, scale_right)
@@ -407,6 +407,25 @@ def _observer_rows(z, den: QPoly, num: QPoly):
     g = (num - scale_right(den, b0))._z[1:]
     z[:len(g), -1] = g
     return complex(b0.w, b0.x), complex(b0.y, b0.z)
+
+
+def _closed_loop(den: QPoly, num: QPoly, p: QPoly):
+    """p den^{-1} num, den(0) = 1, as the observer form (F1, G1, H1, J1)
+    of den^{-1} num in series with that of the FIR p (F2 a shift,
+    G2 = (p_1; ...; p_m), H2 = e_1, J2 = p_0), filled into one block
+    pair array [[F1, 0, G1], [G2 H1, F2, G2 J1], [J2 H1, H2, J2 J1]].
+    The column (G2; J2) times the row (H1, J1) is one pair product."""
+    n1 = max(den.degree(), num.degree(), 0)
+    n = n1 + p.degree()
+    z = np.zeros((n + 1, n + 1, 2), dtype=complex)
+    row = np.zeros((1, n1 + 1, 2), dtype=complex)
+    row[0, 0, 0] = 1.0  # H1 = e_1; at n1 = 0 the J1 entry replaces it
+    row[0, n1] = _observer_rows(z[:n1], den, num)
+    z[range(n1, n - 1), range(n1 + 1, n), 0] = 1.0
+    z[n, n1, 0] = 1.0  # H2 = e_1; at deg p = 0 the product replaces it
+    column = np.concatenate([p._z[1:], p._z[:1]])[:, None]
+    z[n1:, [*range(n1), n]] = _pair_matmul(column, row)
+    return _from_blocks(z, n)
 
 
 def inverse_class(cls: SimilarityClass) -> SimilarityClass:

@@ -3,15 +3,20 @@
     python3 tools/ab_inprocess.py --base ../parent --workload design \
         --seconds 10
 
-Copies the src/qctl of two checkouts (``--base`` and ``--head``, the
-latter this one by default) into a temporary directory as the packages
-qctl_base and qctl_head, and builds the ``design`` or ``poly`` ops of
+Copies the src/qctl of another checkout (``--base``) and of this one
+(head) into a temporary directory as the packages qctl_base and
+qctl_head, and builds the ``design`` or ``poly`` ops of
 bench/workloads.py once per side, from the same bench/inputs.py
 component arrays (this checkout's bench/, which is only read).  Every
 round calls each op once on each side, in a random order, until
 ``--seconds`` have passed.  It prints each op's median time per side
 and their ratio, each side's round time (the sum of its op medians),
 and, on the last line, the speed-up: base round over head round.
+
+An op may raise (the bench counts known faults); each call's outcome,
+the exception type or none, is recorded.  An op whose outcomes differ
+between the sides is flagged ``DIFFERS`` and left out of the round
+sums, so a head that fails early is not read as a speed-up.
 
 Both sides share one process, one machine state and one stretch of
 time, so a drift in the host's speed moves both alike.
@@ -55,12 +60,18 @@ def load_side(name, checkout, tmp):
 
 
 def timed(call):
+    """(seconds, outcome) of one call: the type name of the exception it
+    raised, or None when it returned."""
     start = time.perf_counter()
     try:
         call()
-    except Exception:  # known-fault ops raise; their time still counts
-        pass
-    return time.perf_counter() - start
+    except Exception as exc:  # known-fault ops raise; their time counts
+        return time.perf_counter() - start, type(exc).__name__
+    return time.perf_counter() - start, None
+
+
+def _outcomes(seen):
+    return ", ".join(sorted(name or "returned" for name in seen))
 
 
 def run(args):
@@ -68,32 +79,41 @@ def run(args):
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         ops = {}
-        for side, checkout in zip(SIDES, (args.base, args.head)):
+        for side, checkout in zip(SIDES, (args.base, ROOT)):
             workloads = load_side(side, os.path.abspath(checkout), tmp)
             ops[side] = getattr(workloads, f"{args.workload}_ops")(args.seed)
         labels = [op.label for op in ops["base"]]
         assert labels == [op.label for op in ops["head"]]
         calls = [(side, i) for side in SIDES for i in range(len(labels))]
-        for side, i in calls:  # warm-up
-            timed(ops[side][i].call)
         times = {call: [] for call in calls}
-        order = random.Random(args.order_seed)
+        outcomes = {call: {timed(ops[call[0]][call[1]].call)[1]}
+                    for call in calls}  # the warm-up call
+        order = random.Random(0)
         end = time.perf_counter() + args.seconds
         rounds = 0
         while not rounds or time.perf_counter() < end:
             order.shuffle(calls)
             for side, i in calls:
-                times[side, i].append(timed(ops[side][i].call))
+                seconds, outcome = timed(ops[side][i].call)
+                times[side, i].append(seconds)
+                outcomes[side, i].add(outcome)
             rounds += 1
     medians = {call: statistics.median(t) for call, t in times.items()}
+    same = [outcomes["base", i] == outcomes["head", i]
+            for i in range(len(labels))]
     print(f"{args.workload}, seed {args.seed}, {rounds} rounds")
     print(f"{'op':32s} {'base ms':>10s} {'head ms':>10s} {'head/base':>10s}")
     for i, label in enumerate(labels):
         b, h = medians["base", i], medians["head", i]
-        print(f"{label:32s} {1e3 * b:10.4f} {1e3 * h:10.4f} {h / b:10.4f}")
-    base, head = (sum(medians[side, i] for i in range(len(labels)))
-                  for side in SIDES)
-    print(f"round ms: base {1e3 * base:.4f}, head {1e3 * head:.4f}")
+        flag = "" if same[i] else (
+            f"  DIFFERS: base {_outcomes(outcomes['base', i])}, "
+            f"head {_outcomes(outcomes['head', i])}")
+        print(f"{label:32s} {1e3 * b:10.4f} {1e3 * h:10.4f} {h / b:10.4f}"
+              f"{flag}")
+    base, head = (sum(medians[side, i] for i in range(len(labels))
+                      if same[i]) for side in SIDES)
+    print(f"round ms ({sum(same)} of {len(labels)} ops whose outcomes "
+          f"agree): base {1e3 * base:.4f}, head {1e3 * head:.4f}")
     print(f"speed-up (base round / head round): {base / head:.4f}")
 
 
@@ -101,15 +121,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="root of the checkout to compare against")
-    parser.add_argument("--head", default=ROOT,
-                        help="root of the checkout under test (this one)")
     parser.add_argument("--workload", choices=("design", "poly"),
                         default="design")
     parser.add_argument("--seed", type=int, default=1,
                         help="the bench's input seed")
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--order-seed", type=int, default=0,
-                        help="seed of the random call order")
     run(parser.parse_args(argv))
 
 

@@ -178,6 +178,8 @@ def _cmd_eig(args, out):
     if len(spectrum):
         top = max(cls.norm() for cls in spectrum)
         out.write(f"largest class norm: {fmt_num(top, args.digits)}\n")
+    for note in spectrum.warnings:
+        out.write(f"warning: {note}\n")
     return 0
 
 
@@ -284,7 +286,7 @@ def _cmd_design(args, out):
     out.write(f"closed-loop spectrum ({len(spectrum)}):\n")
     for idx, cls in enumerate(spectrum, 1):
         out.write(f"  {idx}: {fmt_class(cls, args.digits)}\n")
-    for note in result.warnings:
+    for note in spectrum.warnings + result.warnings:
         out.write(f"warning: {note}\n")
     out.write(f"stability: {'PASS' if result.stable else 'FAIL'}\n")
     return 0

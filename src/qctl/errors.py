@@ -14,8 +14,7 @@ class DimensionMismatch(QctlError):
 
 
 class EigensolverFailure(QctlError):
-    """The dense eigensolver did not converge or returned an
-    inconsistent (unpairable) spectrum."""
+    """The dense eigensolver did not converge."""
 
 
 class ZeroDivisor(QctlError):

@@ -1,5 +1,5 @@
-"""Smoke tests of tools/ab_inprocess.py: this tree against itself, and
-against a copy whose gcld raises."""
+"""Smoke tests of tools/ab_inprocess.py: this tree against itself, on
+designs and on simulations, and against a copy whose gcld raises."""
 
 import math
 import os
@@ -30,6 +30,16 @@ def test_ab_inprocess_compares_a_tree_with_itself():
     assert "worked" in labels and "n8-nonreal" in labels
     assert not any("DIFFERS" in line for line in lines)
     assert lines[-2].startswith("round ms (8 of 8 ops whose outcomes agree)")
+
+
+def test_ab_inprocess_compares_simulations_with_themselves():
+    lines = _run(ROOT, "simulate")
+    labels = [line.split()[0] for line in lines[2:-2]]
+    assert "feedback-worked" in labels and "open-n16" in labels
+    assert not any("DIFFERS" in line for line in lines)
+    rates = [line for line in lines if " per s: base " in line]
+    assert [line.split()[0] for line in rates] == ["feedback", "open"]
+    assert lines[-2].startswith("round ms (5 of 5 ops whose outcomes agree)")
 
 
 def test_ab_inprocess_flags_ops_whose_outcomes_differ(tmp_path):

@@ -11,7 +11,7 @@ import qctl
 
 from qctl import (ONE, ZERO, I, J, K, IllConditioned, LeftFraction,
                   ParseError, QPoly, Quaternion, QuatMatrix, StateSpace,
-                  place_poles, right_zeros, tf_left)
+                  place_poles, right_eigenvalues, right_zeros, tf_left)
 from qctl.cli import main, parse_roots
 from qctl.sim import random_state
 from qctl.serialize import (detect, dump_document, fraction_from_doc,
@@ -206,6 +206,26 @@ def test_cli_design_says_when_it_lists_fewer_zeros_than_deg_c(
     else:
         assert unresolved == [f"  not resolved: {listed} zeros listed (a "
                               f"sphere counts 2) for deg c = {n}"]
+    assert out.endswith("stability: PASS\n")
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_cli_design_at_20_states_exits_0(tmp_path, capsys, seed):
+    # the adjoint mates of these closed loops differ by up to 1e-7
+    # (ROADMAP item 4); the spectrum is listed with a warning, not raised
+    n = 20
+    plant_ss = gen.plant_system(gen.rng_for(seed, 100 + n), n)
+    targets = gen.spaced_nonreal(gen.rng_for(seed, 200 + n), n)
+    plant = _write(tmp_path, "plant.json", to_doc(plant_ss))
+    roots = ",".join("(%r,%r,%r,%r)" % q.components() for q in targets)
+    assert main(["design", "--plant", plant, "--roots", roots]) == 0
+    out = capsys.readouterr().out
+    spectrum = right_eigenvalues(place_poles(plant_ss, targets)
+                                 .closed_loop.F)
+    listing = out.split("closed-loop spectrum (")[1].splitlines()
+    assert listing[0] == f"{2 * n - 1}):"
+    assert [line for line in listing if line.startswith("warning: conj")] \
+        == [f"warning: {note}" for note in spectrum.warnings]
     assert out.endswith("stability: PASS\n")
 
 

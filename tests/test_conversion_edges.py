@@ -240,6 +240,33 @@ def test_diverging_runs_match_inf_and_nan_patterns():
                  ref_simulate(ss, [1.0], None, 320))
 
 
+def _first_non_finite(ys):
+    comps = _bits(ys).view(float).reshape(-1, 4)
+    return int(np.flatnonzero(~np.isfinite(comps).all(axis=1))[0])
+
+
+@pytest.mark.parametrize("radius, steps, lift", [(3.0, 1000, 8),
+                                                 (1.3, 3000, 32)])
+def test_lifted_runs_that_diverge_inside_a_block_match_the_loop(
+        radius, steps, lift):
+    # runs this long are lifted, L steps per product; one whose outputs
+    # are not all finite is rerun step by step, bit for bit
+    rng = gen.rng_for(1, 755)
+    plant = gen.rand_system(rng, 4, radius)
+    xp = gen.rand_matrix(rng, 4, 1)
+    u = _mixed(rng, steps)
+    ctrl = gen.rand_system(rng, 2, 0.5)
+    xc = gen.rand_matrix(rng, 2, 1)
+    open_loop = simulate(plant, xp, u, steps)
+    loop = simulate_feedback(plant, ctrl, xp, xc, u, u[::-1], steps)
+    for ys in (open_loop, loop):
+        first = _first_non_finite(ys)
+        assert 64 < first < steps - lift and first % lift
+    _assert_same(open_loop, ref_simulate(plant, xp, u, steps))
+    _assert_same(loop, ref_simulate_feedback(plant, ctrl, xp, xc, u,
+                                             u[::-1], steps))
+
+
 def test_signed_zeros_pass_through():
     # y = J u on a state-free system keeps the signs of zero products
     ss = _empty_system(Quaternion(-0.0, 0.0, -0.0, 1.0))

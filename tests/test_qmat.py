@@ -3,8 +3,8 @@ import pytest
 
 from qctl import (ONE, ZERO, I, J, K, DimensionMismatch, Quaternion,
                   QuatMatrix, complex_adjoint, mat_add, matmul,
-                  matvec, right_eigenvalues, solve_left_linear,
-                  spectral_radius_stable)
+                  matvec, place_poles, right_eigenvalues,
+                  solve_left_linear, spectral_radius_stable)
 from qctl.qmat import identity
 import gen
 import oracle
@@ -141,6 +141,61 @@ def test_right_eigenvalues_real_diagonal():
     A = QuatMatrix([[Quaternion(2.0), ZERO], [ZERO, Quaternion(-0.5)]])
     classes = right_eigenvalues(A).classes
     assert [(c.re, c.im_norm) for c in classes] == [(2.0, 0.0), (-0.5, 0.0)]
+
+
+def _paired_or_raise(A, pair_tol=1e-8):
+    """The classes of A by the pairing that raised on mates further
+    apart than ``pair_tol``: sort (re, |im|, im), pair neighbours,
+    average."""
+    lam = np.linalg.eigvals(complex_adjoint(A))
+    order = sorted(range(len(lam)), key=lambda t: (
+        lam[t].real, abs(lam[t].imag), lam[t].imag))
+    out = []
+    for t in range(0, len(lam), 2):
+        a, b = lam[order[t]], lam[order[t + 1]]
+        scale = max(1.0, abs(a), abs(b))
+        assert abs(a.real - b.real) <= pair_tol * scale
+        assert abs(abs(a.imag) - abs(b.imag)) <= pair_tol * scale
+        out.append((0.5 * (a.real + b.real),
+                    0.5 * (abs(a.imag) + abs(b.imag))))
+    return sorted(out, key=lambda c: (-c[0], -c[1]))
+
+
+def test_well_paired_spectra_keep_their_classes_bit_for_bit():
+    rng = gen.rng_for(15)
+    mats = [gen.rand_matrix(rng, n, n, 10.0 ** rng.integers(-3, 4))
+            for n in (1, 2, 3, 4, 6, 8, 12) for _ in range(4)]
+    mats.append(QuatMatrix([[Quaternion(2.0), ZERO],
+                            [ZERO, Quaternion(-0.5)]]))
+    for A in mats:
+        spectrum = right_eigenvalues(A)
+        assert spectrum.warnings == []
+        got = np.array([(c.re, c.im_norm) for c in spectrum], dtype=float)
+        want = np.array(_paired_or_raise(A), dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_mates_apart_are_averaged_and_noted():
+    # the 39-state closed loop of a 20-state design: its adjoint mates
+    # differ by about 5e-8, above the pairing tolerance
+    n = 20
+    plant = gen.plant_system(gen.rng_for(1, 100 + n), n)
+    targets = gen.spaced_nonreal(gen.rng_for(1, 200 + n), n)
+    F = place_poles(plant, targets).closed_loop.F
+    spectrum = right_eigenvalues(F)
+    assert len(spectrum) == 2 * n - 1
+    (note,) = spectrum.warnings
+    assert note.startswith("conjugate eigenvalue mates differ by ")
+    assert note.endswith(" relative, above 1e-08")
+    worst = float(note.split()[5])
+    assert 1e-8 < worst < 1e-6
+    got = sorted((c.re, c.im_norm) for c in spectrum)
+    # the oracle keeps one mate of each pair, the average lies halfway
+    want = oracle.right_eig_classes(oracle.matrix_pair(F))
+    assert oracle.class_distance(got, want) <= worst
+    # a looser tolerance takes the note away and keeps the classes
+    looser = right_eigenvalues(F, tol=1e-6)
+    assert looser.warnings == [] and looser.classes == spectrum.classes
 
 
 def test_right_eigenvalue_classes_solve_adjoint():

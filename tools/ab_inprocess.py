@@ -5,13 +5,17 @@
 
 Copies the src/qctl of another checkout (``--base``) and of this one
 (head) into a temporary directory as the packages qctl_base and
-qctl_head, and builds the ``design`` or ``poly`` ops of
+qctl_head, and builds the ``design``, ``simulate`` or ``poly`` ops of
 bench/workloads.py once per side, from the same bench/inputs.py
-component arrays (this checkout's bench/, which is only read).  Every
-round calls each op once on each side, in a random order, until
-``--seconds`` have passed.  It prints each op's median time per side
-and their ratio, each side's round time (the sum of its op medians),
-and, on the last line, the speed-up: base round over head round.
+component arrays (this checkout's bench/, which is only read); the
+simulate ops run the loops each side designs at set-up.  Every round
+calls each op once on each side, in a random order, until ``--seconds``
+have passed.  It prints each op's median time per side and their ratio;
+each kind's rate per side, as the bench reads it (steps of the kind's
+ops over the sum of their medians: simulation steps, designs or
+polynomial calls per second); each side's round time (the sum of its op
+medians); and, on the last line, the speed-up: base round over head
+round.
 
 An op may raise (the bench counts known faults); each call's outcome,
 the exception type or none, is recorded.  An op whose outcomes differ
@@ -81,7 +85,12 @@ def run(args):
         ops = {}
         for side, checkout in zip(SIDES, (args.base, ROOT)):
             workloads = load_side(side, os.path.abspath(checkout), tmp)
-            ops[side] = getattr(workloads, f"{args.workload}_ops")(args.seed)
+            if args.workload == "simulate":
+                ops[side] = workloads.simulate_ops(
+                    args.seed, workloads.feedback_pairs(args.seed))
+            else:
+                ops[side] = getattr(workloads, f"{args.workload}_ops")(
+                    args.seed)
         labels = [op.label for op in ops["base"]]
         assert labels == [op.label for op in ops["head"]]
         calls = [(side, i) for side in SIDES for i in range(len(labels))]
@@ -110,6 +119,15 @@ def run(args):
             f"head {_outcomes(outcomes['head', i])}")
         print(f"{label:32s} {1e3 * b:10.4f} {1e3 * h:10.4f} {h / b:10.4f}"
               f"{flag}")
+    kinds = {}
+    for i, op in enumerate(ops["base"]):
+        if same[i]:
+            kinds.setdefault(op.kind, []).append(i)
+    for kind, idx in kinds.items():
+        steps = sum(ops["base"][i].steps for i in idx)
+        b, h = (steps / sum(medians[side, i] for i in idx) for side in SIDES)
+        print(f"{kind} per s: base {b:,.0f}, head {h:,.0f}, "
+              f"head/base {h / b:.4f}")
     base, head = (sum(medians[side, i] for i in range(len(labels))
                       if same[i]) for side in SIDES)
     print(f"round ms ({sum(same)} of {len(labels)} ops whose outcomes "
@@ -121,8 +139,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="root of the checkout to compare against")
-    parser.add_argument("--workload", choices=("design", "poly"),
-                        default="design")
+    parser.add_argument("--workload", default="design",
+                        choices=("design", "simulate", "poly"))
     parser.add_argument("--seed", type=int, default=1,
                         help="the bench's input seed")
     parser.add_argument("--seconds", type=float, default=10.0)

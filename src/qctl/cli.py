@@ -48,8 +48,8 @@ def fmt_num(v: float, digits: int) -> str:
 
 def fmt_quat(q: Quaternion, digits: int) -> str:
     # components swamped by the rest of the quaternion are float dust;
-    # dropping them is display-only
-    cut = 1e-12 * q.norm()
+    # dropping them is display-only; hypot keeps huge norms finite
+    cut = 1e-12 * math.hypot(*q.components())
     parts = []
     for value, suffix in ((q.w, ""), (q.x, "i"), (q.y, "j"), (q.z, "k")):
         if abs(value) <= cut:
@@ -149,6 +149,13 @@ def _tol(args):
     return {} if args.tol is None else {"tol": args.tol}
 
 
+def _write_notes(out, *results):
+    """One "warning: <note>" line per note of each result, in order."""
+    for result in results:
+        for note in result.warnings:
+            out.write(f"warning: {note}\n")
+
+
 def _load_system(path: str) -> StateSpace:
     doc = load_document(path)
     if isinstance(doc, StateSpace):
@@ -178,8 +185,7 @@ def _cmd_eig(args, out):
     if len(spectrum):
         top = max(cls.norm() for cls in spectrum)
         out.write(f"largest class norm: {fmt_num(top, args.digits)}\n")
-    for note in spectrum.warnings:
-        out.write(f"warning: {note}\n")
+    _write_notes(out, spectrum)
     return 0
 
 
@@ -200,8 +206,7 @@ def _cmd_zeros(args, out):
     out.write(f"spherical classes ({len(report.spherical)}):\n")
     for idx, cls in enumerate(report.spherical, 1):
         out.write(f"  {idx}: {fmt_class(cls, args.digits)}\n")
-    for note in report.warnings:
-        out.write(f"warning: {note}\n")
+    _write_notes(out, report)
     return 0
 
 
@@ -267,6 +272,7 @@ def _cmd_design(args, out):
     out.write(f"controller p: {fmt_poly(result.p, args.digits)}\n")
     out.write(f"controller q: {fmt_poly(result.q, args.digits)}\n")
     out.write("closed-loop denominator zeros:\n")
+    listed = []
     try:
         report = right_zeros(result.t_w.den, **_tol(args))
     except IllConditioned as exc:
@@ -274,6 +280,7 @@ def _cmd_design(args, out):
         # already checked, so it must not turn that design into a failure
         out.write(f"  not resolved: {exc}\n")
     else:
+        listed.append(report)
         for idx, (z, cls) in enumerate(report.isolated, 1):
             out.write(f"  {idx}: {fmt_quat(z, args.digits)}\n")
         for idx, cls in enumerate(report.spherical, 1):
@@ -286,8 +293,7 @@ def _cmd_design(args, out):
     out.write(f"closed-loop spectrum ({len(spectrum)}):\n")
     for idx, cls in enumerate(spectrum, 1):
         out.write(f"  {idx}: {fmt_class(cls, args.digits)}\n")
-    for note in spectrum.warnings + result.warnings:
-        out.write(f"warning: {note}\n")
+    _write_notes(out, *listed, spectrum, result)
     out.write(f"stability: {'PASS' if result.stable else 'FAIL'}\n")
     return 0
 

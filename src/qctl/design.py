@@ -149,8 +149,17 @@ def build_c(roots, tol: float = COEFF_TOL) -> QPoly:
     product (the companion polynomial of a product is the product of
     companions).  Roots at zero are rejected: c(0) = prod z_i would
     vanish and no causal controller could produce that loop.  Roots on
-    or inside the unit circle draw a warning since the matching
+    or inside the unit circle draw a UserWarning since the matching
     closed-loop mode would not decay.
+    """
+    c, notes = _build_c(roots, tol)
+    for note in notes:
+        _warnings.warn(note, stacklevel=2)
+    return c
+
+
+def _build_c(roots, tol):
+    """build_c's polynomial and its notes, one per root of norm <= 1 + tol.
 
     The roots are packed once into one array of the factors' pair
     arrays, and mul takes the product factor by factor with no
@@ -160,20 +169,20 @@ def build_c(roots, tol: float = COEFF_TOL) -> QPoly:
     """
     z = np.array([_coerce(r).components() for r in roots],
                  dtype=float).reshape(-1, 4)
+    notes = []
     for norm in _norm(z.T).tolist():
         if norm <= ZERO_THRESHOLD:
             raise ZeroRoot("closed-loop root at 0 is not realizable")
         if norm <= 1.0 + tol:
-            _warnings.warn(
-                f"root with norm {norm:.4g} <= 1 yields a "
-                "non-decaying closed-loop mode", stacklevel=2)
+            notes.append(f"root with norm {norm:.4g} <= 1 yields a "
+                         "non-decaying closed-loop mode")
     factors = np.empty((len(z), 2, 2), dtype=complex)
     factors[:, 0] = z.view(complex)
     factors[:, 1] = -1.0, 0.0
     c = _wrap(factors[0] + 0.0) if len(factors) else QPoly.one()
     for factor in factors[1:]:
         c = mul(c, _wrap(factor))
-    return c
+    return c, notes
 
 
 class DesignResult:
@@ -186,6 +195,8 @@ class DesignResult:
     of place_poles written in one block pair array (see xfer._closed_loop),
     with max(deg c, deg a) + deg p states.
     stable: True when closed_loop.F has spectral radius below one.
+    warnings: the design's notes as strings, today build_c's note on each
+    target root of norm <= 1 + tol; place_poles raises no warning.
 
     t_v, t_w: the closed-loop transfer functions from reference and
     output disturbance to y, as left fractions.  Passing None for them
@@ -281,17 +292,8 @@ def place_poles(plant, targets, tol: float = COEFF_TOL) -> DesignResult:
     law depend on the current output; NonCausal signals c_ach(0) = 0.
     """
     frac = as_left_fraction(plant, tol)
-    notes = []
-    if isinstance(targets, QPoly):
-        c = targets
-    else:
-        targets = list(targets)
-        for r in targets:
-            z = _coerce(r)
-            if ZERO_THRESHOLD < z.norm() <= 1.0 + tol:
-                notes.append(f"target zero with norm {z.norm():.4g} "
-                             "is not outside the unit circle")
-        c = build_c(targets, tol)
+    c, notes = ((targets, []) if isinstance(targets, QPoly)
+                else _build_c(targets, tol))
     if c.is_zero():
         raise IllPosed("target polynomial is zero")
     a, b = frac.den, frac.num

@@ -178,10 +178,13 @@ def _row_norm(row) -> float:
     """Norm of one coefficient given as the Python pair [q1, q2], summed
     in the order of Quaternion.norm2.  norm_inf and trim work in these
     Python floats: most of their calls see a few coefficients, where one
-    numpy call costs more than the whole loop."""
+    numpy call costs more than the whole loop.  A sum that overflows
+    (components above ~1.3e154) falls back to math.hypot."""
     u, v = row
-    return math.sqrt(u.real * u.real + u.imag * u.imag
-                     + v.real * v.real + v.imag * v.imag)
+    n2 = u.real * u.real + u.imag * u.imag + v.real * v.real + v.imag * v.imag
+    if n2 == math.inf:
+        return math.hypot(u.real, u.imag, v.real, v.imag)
+    return math.sqrt(n2)
 
 
 def _norm(v):
@@ -798,6 +801,11 @@ def right_zeros(a: QPoly, tol: float = COEFF_TOL) -> ZeroReport:
             roots = np.roots(_companion_coeffs(C)[::-1])
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(str(exc)) from exc
+        if len(roots) < 2 * a.degree():
+            # np.roots strips top coefficients of conj(a) a that underflow
+            raise IllConditioned(
+                f"{len(roots)} of {2 * a.degree()} companion roots "
+                "resolved: the top of conj(a) a underflows")
         classes = _cluster_classes(roots, cluster_tol)
         real = [im <= cluster_tol * max(1.0, math.hypot(re, im))
                 for re, im in classes]

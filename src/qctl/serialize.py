@@ -7,10 +7,13 @@ Layouts (all numbers are plain, finite JSON floats):
 - polynomial: {"coeffs": [q, ...]} ascending in the shift variable
 - fraction: {"kind": "left"|"right", "den": poly, "num": poly}
 - system: {"F": matrix, "G": matrix, "H": matrix, "J": q}
-- design result: {"c", "p", "q", "controller", "t_v", "t_w",
-  "closed_loop", "stable", "warnings"}
+- design result: {"plant", "c", "p", "q", "controller", "t_v", "t_w",
+  "closed_loop", "stable", "warnings"}, written only: detect rejects it,
+  and each entry but the last two loads on its own
 
-Round trips are bit-exact: floats pass through json unchanged.
+Floats pass through json unchanged, so round trips are bit-exact, except
+that a left fraction is built again on load: a den(0) that is 1 plus
+rounding dust, as t_v and t_w of a design have, is normalized once more.
 """
 
 from __future__ import annotations

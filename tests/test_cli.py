@@ -5,14 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qctl
 
 from qctl import (ONE, ZERO, I, J, K, IllConditioned, LeftFraction,
                   ParseError, QPoly, Quaternion, QuatMatrix, StateSpace,
-                  place_poles, right_eigenvalues, right_zeros, tf_left)
-from qctl.cli import main, parse_roots
+                  RightFraction, place_poles, right_eigenvalues, right_zeros,
+                  tf_left, tf_right)
+from qctl.cli import fmt_poly, fmt_quat, main, parse_roots
 from qctl.sim import random_state
 from qctl.serialize import (detect, dump_document, fraction_from_doc,
                             load_document, matrix_from_doc, poly_from_doc,
@@ -49,6 +51,48 @@ def test_serialization_round_trips_bit_exact():
     s2 = system_from_doc(json.loads(json.dumps(to_doc(PLANT))))
     assert s2.F == PLANT.F and s2.G == PLANT.G
     assert s2.H == PLANT.H and s2.J == PLANT.J
+
+
+def _same_bits(a, b):
+    """Whether two QPoly or QuatMatrix objects agree in every bit."""
+    return (a._z.shape == b._z.shape
+            and np.array_equal(a._z.view(np.int64), b._z.view(np.int64)))
+
+
+def test_right_fraction_document_round_trips_bit_exact():
+    f = tf_right(PLANT)
+    g = detect(json.loads(json.dumps(to_doc(f))))
+    assert isinstance(g, RightFraction)
+    assert _same_bits(g.den, f.den) and _same_bits(g.num, f.num)
+
+
+def test_design_document_round_trips():
+    res = place_poles(PLANT, [0.5, 4.0])
+    doc = json.loads(json.dumps(to_doc(res)))
+    assert doc["stable"] is False and doc["warnings"] == [
+        "root with norm 0.5 <= 1 yields a non-decaying closed-loop mode"]
+    with pytest.raises(ParseError):
+        detect(doc)     # a design document has no layout to load back
+    for key in ("c", "p", "q"):
+        assert _same_bits(detect(doc[key]), getattr(res, key))
+    for key in ("plant", "controller"):
+        got, want = detect(doc[key]), getattr(res, key)
+        assert got.kind == want.kind
+        assert _same_bits(got.den, want.den) and _same_bits(got.num, want.num)
+    loop = detect(doc["closed_loop"])
+    for name in ("F", "G", "H"):
+        assert _same_bits(getattr(loop, name), getattr(res.closed_loop, name))
+    assert loop.J == res.closed_loop.J
+    for key in ("t_v", "t_w"):
+        # LeftFraction normalizes again on load, and a den(0) of 1 plus
+        # dust near 1e-33 comes back scaled by its inverse: equal within
+        # rounding, not always bit for bit
+        got, want = detect(doc[key]), getattr(res, key)
+        assert got.kind == "left"
+        for a, b in ((got.den, want.den), (got.num, want.num)):
+            assert a._z.shape == b._z.shape
+            assert np.abs(a._z - b._z).max() \
+                <= np.finfo(float).eps * max(1.0, b.norm_inf())
 
 
 def test_detect_layouts():
@@ -112,6 +156,13 @@ def test_parse_roots():
             parse_roots(text)
 
 
+@pytest.mark.parametrize("roots", ["(1, 0, 0, 0", "1, 0, 0, 0)", "(3))"])
+def test_cli_design_rejects_unbalanced_roots(tmp_path, capsys, roots):
+    assert main(["design", "--plant", _plant_path(tmp_path),
+                 "--roots", roots]) == 1
+    assert "--roots: unbalanced parentheses" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("roots", ["nan,3", "inf", "1e400", "(0, nan, 0, 0)"])
 def test_cli_design_rejects_nonfinite_roots(tmp_path, capsys, roots):
     assert main(["design", "--plant", _plant_path(tmp_path),
@@ -126,6 +177,18 @@ def test_cli_eig(tmp_path, capsys):
     assert "1.4142" in out
 
 
+def test_cli_eig_reads_a_bare_square_matrix(tmp_path, capsys):
+    F = QuatMatrix([[Quaternion(0.5), 0.25 * I], [0.1 * J, Quaternion(-0.3)]])
+    assert main(["eig", "--system", _write(tmp_path, "F.json",
+                                           to_doc(F))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "right eigenvalue classes (2):"
+    assert lines[-1] == "largest class norm: 0.50218"
+    wide = _write(tmp_path, "wide.json", to_doc(QuatMatrix([[ONE, I]])))
+    assert main(["eig", "--system", wide]) == 1
+    assert "bare matrix must be square" in capsys.readouterr().err
+
+
 def test_cli_tf(tmp_path, capsys):
     assert main(["tf", "--system", _plant_path(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -137,6 +200,39 @@ def test_cli_zeros(tmp_path, capsys):
     assert main(["zeros", "--poly", path]) == 0
     out = capsys.readouterr().out
     assert "3" in out and "4" in out
+
+
+def test_cli_zeros_prints_every_note(tmp_path, capsys):
+    # below the residual of rounding, both real zeros are accepted with
+    # a note each
+    poly = QPoly([6.0, -5.0, 1.0])
+    path = _write(tmp_path, "g.json", to_doc(poly))
+    assert main(["zeros", "--poly", path, "--tol", "1e-17"]) == 0
+    notes = right_zeros(poly, 1e-17).warnings
+    assert len(notes) == 2
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("warning: ")] \
+        == [f"warning: {note}" for note in notes]
+    assert all(note.startswith("real zero ") and " accepted with residual "
+               in note for note in notes)
+
+
+def test_cli_zeros_of_an_unresolvable_polynomial_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "big.json", to_doc(QPoly([-3e200, 1.0])))
+    assert main(["zeros", "--poly", path]) == 2
+    assert "IllConditioned" in capsys.readouterr().err
+
+
+def test_cli_stable_system_both_verdicts(tmp_path, capsys):
+    F = QuatMatrix([[Quaternion(0.5), 0.25 * I], [0.1 * J, Quaternion(-0.3)]])
+    path = _write(tmp_path, "F.json", to_doc(F))
+    assert main(["stable", "--system", path]) == 0
+    assert capsys.readouterr().out \
+        == "stable: yes (right spectrum inside the unit circle)\n"
+    # the worked plant's F has a class of norm sqrt(2)
+    assert main(["stable", "--system", _plant_path(tmp_path)]) == 0
+    assert capsys.readouterr().out \
+        == "stable: no (a right-eigenvalue class reaches the unit circle)\n"
 
 
 def test_cli_stable_both_verdicts(tmp_path, capsys):
@@ -162,6 +258,34 @@ def test_cli_solve_and_design(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stability: PASS" in out
     assert "controller" in out
+
+
+def test_cli_design_prints_the_unit_circle_note_once(tmp_path, capsys):
+    assert main(["design", "--plant", _plant_path(tmp_path),
+                 "--roots", "0.5, 4"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines()
+            if line.startswith("warning: ")] == [
+        "warning: root with norm 0.5 <= 1 yields a non-decaying "
+        "closed-loop mode"]
+    assert out.endswith("stability: FAIL\n")
+
+
+def test_cli_solve_keeps_huge_coefficients(tmp_path, capsys):
+    polys = [_write(tmp_path, f"{name}.json", to_doc(p)) for name, p in
+             (("a", QPoly([1.0])), ("b", QPoly([0.0, 1.0])),
+              ("c", QPoly([1e200, 2e200])))]
+    assert main(["solve", "--poly", polys[0], "--poly", polys[1],
+                 "--poly", polys[2]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["x: 1e+200", "y: 2e+200", "residual: 0"]
+
+
+def test_fmt_keeps_huge_components():
+    # the display cut is relative to a norm that must not overflow
+    assert fmt_quat(Quaternion(1e200, 1.0, 0.0, 0.0), 5) == "1e+200"
+    assert fmt_poly(QPoly([1.0, Quaternion(3e160, 0.0, 2e160, 0.0)]), 5) \
+        == "1 + (3e+160 + 2e+160j) d"
 
 
 @pytest.mark.parametrize("seed", [10, 14])
@@ -209,11 +333,7 @@ def test_cli_design_says_when_it_lists_fewer_zeros_than_deg_c(
     assert out.endswith("stability: PASS\n")
 
 
-@pytest.mark.parametrize("seed", range(1, 11))
-def test_cli_design_at_20_states_exits_0(tmp_path, capsys, seed):
-    # the adjoint mates of these closed loops differ by up to 1e-7
-    # (ROADMAP item 4); the spectrum is listed with a warning, not raised
-    n = 20
+def _check_large_design(tmp_path, capsys, n, seed):
     plant_ss = gen.plant_system(gen.rng_for(seed, 100 + n), n)
     targets = gen.spaced_nonreal(gen.rng_for(seed, 200 + n), n)
     plant = _write(tmp_path, "plant.json", to_doc(plant_ss))
@@ -227,6 +347,26 @@ def test_cli_design_at_20_states_exits_0(tmp_path, capsys, seed):
     assert [line for line in listing if line.startswith("warning: conj")] \
         == [f"warning: {note}" for note in spectrum.warnings]
     assert out.endswith("stability: PASS\n")
+    # the zero listing has deg c entries (a sphere counting 2) or says
+    # that it has not
+    zeros = out.split("closed-loop denominator zeros:\n")[1].split(
+        "closed-loop spectrum (")[0].splitlines()
+    listed = sum(1 if line.split(":")[0].strip().isdigit() else
+                 2 if line.startswith("  sphere:") else 0 for line in zeros)
+    assert listed == n or any(line.startswith("  not resolved: ")
+                              for line in zeros)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_cli_design_at_20_states_exits_0(tmp_path, capsys, seed):
+    # the adjoint mates of these closed loops differ by up to 1e-7
+    # (ROADMAP item 4); the spectrum is listed with a warning, not raised
+    _check_large_design(tmp_path, capsys, 20, seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_cli_design_at_16_states_exits_0(tmp_path, capsys, seed):
+    _check_large_design(tmp_path, capsys, 16, seed)
 
 
 def test_cli_design_rejects_double_target(tmp_path):

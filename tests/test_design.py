@@ -100,6 +100,13 @@ def test_solve_numerically_zero_side_raises_zero_divisor():
                           tol=0.0)
 
 
+def test_solve_keeps_huge_coefficients():
+    # norms above ~1.3e154 once overflowed and trimmed x and y to zero
+    sol = solve_diophantine(QPoly([1.0]), QPoly([0.0, 1.0]),
+                            QPoly([1e200, 2e200]), mode="minimal_x")
+    assert sol.x == QPoly([1e200]) and sol.y == QPoly([2e200])
+
+
 def test_build_c_product_and_validation():
     c = build_c([3.0, 4.0])
     assert (c - QPoly([12.0, -7.0, 1.0])).norm_inf() <= 1e-12
@@ -111,7 +118,9 @@ def test_build_c_product_and_validation():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         build_c([0.5, 3.0])
-    assert any("non-decaying" in str(w.message) for w in caught)
+    # one warning for the one root inside the unit circle
+    assert [str(w.message) for w in caught] == [
+        "root with norm 0.5 <= 1 yields a non-decaying closed-loop mode"]
 
 
 def test_build_c_is_the_ordered_mul_chain():
@@ -191,11 +200,17 @@ def test_place_poles_real_targets(n, seeds):
 
 
 def test_place_poles_marks_unstable_targets():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = place_poles(PLANT, [0.5, 4.0])
+    res = place_poles(PLANT, [0.5, 4.0])
     assert not res.stable
-    assert res.warnings
+    assert res.warnings == [
+        "root with norm 0.5 <= 1 yields a non-decaying closed-loop mode"]
+    # norm 1 and norm 1 + tol are on the circle; a polynomial target has
+    # no roots to note
+    res = place_poles(PLANT, [Quaternion(0.0, 0.6, 0.0, 0.8), 1.0 + 1e-9,
+                              4.0])
+    assert res.warnings == [
+        "root with norm 1 <= 1 yields a non-decaying closed-loop mode"] * 2
+    assert place_poles(PLANT, QPoly([12.0, -7.0, 1.0])).warnings == []
 
 
 def test_place_poles_noncausal_controller():

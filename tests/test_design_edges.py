@@ -9,8 +9,6 @@ its _unit, and the chain of mul calls from 1.  Every component must
 match in its bits (signed zeros included).
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -114,9 +112,7 @@ PLANTS = list(_plants())
                          ids=[p[0] for p in PLANTS])
 def test_closed_loop_matches_the_series_of_two_observer_forms(label, plant,
                                                               targets):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = place_poles(plant, targets)
+    res = place_poles(plant, targets)
     assert _same_system(res.closed_loop, ref_closed_loop(res))
 
 
@@ -171,10 +167,8 @@ def test_singular_annihilator_solve_raises_ill_conditioned(seed, tols):
     # annihilator system singular to working precision
     n = 20
     plant = gen.plant_system(gen.rng_for(seed, 100 + n), n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = place_poles(plant, gen.spaced_nonreal(gen.rng_for(seed,
-                                                                200 + n), n))
+    res = place_poles(plant, gen.spaced_nonreal(gen.rng_for(seed, 200 + n),
+                                                n))
     a, b = res.plant.den, res.plant.num
     c = _wrap((mul(a, res.p) + mul(b, res.q))._z[:res.c.degree() + 1])
     for tol in tols:

@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
-from qctl import (ONE, ZERO, I, J, K, BothZero, QPoly, Quaternion,
-                  ZeroDivisor, class_of, companion_polynomial,
+from qctl import (ONE, ZERO, I, J, K, BothZero, IllConditioned, QPoly,
+                  Quaternion, ZeroDivisor, class_of, companion_polynomial,
                   div_quotient_left, div_quotient_right, eval_left,
                   eval_right, gcld, gcrd, is_stable, left_to_right, pmul,
                   right_zeros)
@@ -32,6 +32,18 @@ def test_trim_is_relative_to_scale():
     assert a.trim(1e-9).degree() == 0
     # same tail survives when the stated scale is tiny
     assert a.trim(1e-9, scale=1e-12).degree() == 1
+
+
+def test_norms_of_huge_coefficients_do_not_overflow():
+    # a sum of squares overflows above ~1.3e154; trim must not read the
+    # resulting inf as a scale that cuts every coefficient
+    a = QPoly([Quaternion(3e160, 0.0, 4e160, 0.0), 1e160])
+    assert a.norm_inf() == math.hypot(3e160, 4e160)
+    assert a.trim(1e-9) == a
+    assert QPoly([1e200, 2e200]).norm_inf() == 2e200
+    # finite sums keep the bits of Quaternion.norm
+    p = gen.rand_poly(gen.rng_for(60), 6)
+    assert p.norm_inf() == max(c.norm() for c in p.coeffs)
 
 
 def test_basic_accessors():
@@ -224,6 +236,22 @@ def test_right_zeros_mixed_spherical_and_isolated():
     assert len(report.spherical) == 1
     assert any(abs(cls.re - 3.0) <= 1e-8 and cls.im_norm <= 1e-8
                for _, cls in report.isolated)
+
+
+@pytest.mark.parametrize("a", [QPoly([-3e200, 1.0]),
+                               QPoly([1.0, 1.0, 1e-170])],
+                         ids=["scaled-lead-underflows", "tiny-lead"])
+def test_right_zeros_raises_when_the_companion_top_underflows(a):
+    # conj(a) a loses its top coefficients, and np.roots would return
+    # fewer than 2 deg a roots with no note
+    with pytest.raises(IllConditioned, match="companion roots"):
+        right_zeros(a)
+
+
+def test_right_zeros_keeps_zeros_at_the_origin():
+    # trailing zeros of the companion stay as roots at 0: no raise
+    report = right_zeros(QPoly([0.0, -3.0, 1.0]))
+    assert sorted(z.w for z, _ in report.isolated) == [0.0, 3.0]
 
 
 def test_right_zeros_rejects_zero_polynomial():
